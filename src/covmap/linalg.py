@@ -22,7 +22,6 @@ __all__ = [
     "DimensionError",
     "NotHermitianError",
     "as_matrix",
-    "dagger",
     "kron",
     "partial_trace",
     "hermitian_eigenvalues",
@@ -74,11 +73,6 @@ def as_matrix(a) -> np.ndarray:
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionError(f"empty matrix of shape {m.shape}")
     return m
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
 
 
 def kron(a, b) -> np.ndarray:

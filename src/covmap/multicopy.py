@@ -12,10 +12,25 @@ so column 0 always holds the trace weights.  The weights are unique when
 d >= m + 1, which is what entrywise extraction requires.
 
 Desk-scale guard: 2 <= m <= 4 and d**m <= 256.
+
+Index convention: the basis tensor with digits (i_1, ..., i_m) sits at
+flat index i_1 d^(m-1) + ... + i_m (first slot slowest, as np.kron), and a
+slot permutation is stored as a row-index array r with P(s) @ A == A[r],
+a transpose of the digit axes of arange(d**m).  Superoperators stack
+columns, so the image of E_ab is column (b-1) d + (a-1) and its entry
+(x, c) is row c d^m + x; realize, extract and fit therefore scatter and
+gather single entries instead of multiplying by dense permutations.
+
+Cache: the row indices and the scatter positions of the generators depend
+on (m, d) alone.  Each (m, d) is built on first use and kept for the life
+of the process; the cache holds this structure only, never weights or
+results.  It takes under 1 MB at (4, 4) and about 2.5 MB for all 23 pairs
+inside the desk cap.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,10 +45,8 @@ from .linalg import (
     as_matrix,
     frobenius_norm,
     operator_norm,
-    unvec,
-    vec,
 )
-from .operators import Permutation, haar_unitary, matrix_unit, permutation_operator
+from .operators import Permutation, _row_index, haar_unitary
 from .twocopy import CovariantCoefficients
 
 __all__ = [
@@ -107,77 +120,76 @@ def slot_embedding(j: int, x, m: int, d: int) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def _flat_perm(p: Permutation, d: int) -> np.ndarray:
-    """forward[i] = flat index of the permuted basis tensor e_i."""
-    m = p.m
-    inv = p.inverse().image
-    dim = d**m
-    forward = np.empty(dim, dtype=np.intp)
-    for flat in range(dim):
-        digits = []
-        rest = flat
-        for _ in range(m):
-            digits.append(rest % d)
-            rest //= d
-        digits.reverse()
-        out = 0
-        for t in range(m):
-            out = out * d + digits[inv[t] - 1]
-        forward[flat] = out
-    return forward
+@functools.lru_cache(maxsize=None)
+def _rows(m: int, d: int) -> np.ndarray:
+    """Row indices r_s with P(s) @ A == A[r_s], one row per permutation."""
+    rows = np.stack([_row_index(p, d) for p in enumerate_permutations(m)])
+    rows.setflags(write=False)
+    return rows
 
 
-def _row_perm(forward: np.ndarray) -> np.ndarray:
-    """Index array r with (P @ A) == A[r] for the operator behind forward."""
-    r = np.empty_like(forward)
-    r[forward] = np.arange(forward.size)
-    return r
+@functools.lru_cache(maxsize=None)
+def _scatter(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the generators P(s) F_j put their ones in a realized superoperator.
+
+    Returns (hits, flat) over the joint support of the unpermuted
+    generators: hits[u, j] is True when F_(j+1) has a one at entry u, and
+    flat[i, u] is the flat index of entry u in the d^(2m) x d^2 matrix once
+    permutation i has moved its rows.
+    """
+    dim, dd = d**m, d * d
+    c = np.arange(dim)[:, None]
+    a = np.arange(d)[None, :]
+    # Entry keys are (vec row) * d^2 + column; the image of E_ab is column
+    # b d + a, and output entry (x, c) of an image sits at vec row c dim + x.
+    keys = [np.broadcast_to((c * dim + c) * dd + a * (d + 1), (dim, d))]  # tr(E_aa) I
+    for slot in range(m):
+        place = d ** (m - 1 - slot)
+        b = c // place % d
+        x = c + (a - b) * place  # c with the digit of this slot set to a
+        keys.append((c * dim + x) * dd + b * d + a)
+    keys = np.stack([k.reshape(-1) for k in keys])
+    support, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+    hits = np.zeros((support.size, m + 1), dtype=bool)
+    hits[inverse.reshape(keys.shape), np.arange(m + 1)[:, None]] = True
+    x = support // dd % dim
+    forward = np.argsort(_rows(m, d), axis=1)  # row x moves to row forward[i, x]
+    flat = support + (forward[:, x] - x) * dd
+    hits.setflags(write=False)
+    flat.setflags(write=False)
+    return hits, flat
 
 
 def apply_multi(mc: MultiCopyCoefficients, x) -> np.ndarray:
     """Image of the d x d matrix x, of size d^m x d^m."""
     m, d = mc.m, mc.d
-    perms = enumerate_permutations(m)
     embeddings = [slot_embedding(j, x, m, d) for j in range(1, m + 2)]
     out = np.zeros((d**m, d**m), dtype=np.complex128)
-    for i, p in enumerate(perms):
+    for i, rows in enumerate(_rows(m, d)):
         inner = np.zeros_like(out)
         for j in range(m + 1):
             coeff = mc.lam[i, j]
             if coeff != 0:
                 inner += coeff * embeddings[j]
-        out += inner[_row_perm(_flat_perm(p, d))]
+        out += inner[rows]
     return out
 
 
 def realize_multi_superoperator(mc: MultiCopyCoefficients) -> np.ndarray:
-    """d^(2m) x d^2 matrix M with M @ vec(X) == vec(apply_multi(mc, X))."""
+    """d^(2m) x d^2 matrix M with M @ vec(X) == vec(apply_multi(mc, X)).
+
+    Weights are summed per permutation in generator order, then across
+    permutations in order, as apply_multi sums them.
+    """
     m, d = mc.m, mc.d
-    perms = enumerate_permutations(m)
-    rows = [_row_perm(_flat_perm(p, d)) for p in perms]
-    out = np.zeros((d ** (2 * m), d * d), dtype=np.complex128)
-    for k in range(d * d):
-        e = np.zeros(d * d, dtype=np.complex128)
-        e[k] = 1.0
-        x = unvec(e, d)
-        embeddings = [slot_embedding(j, x, m, d) for j in range(1, m + 2)]
-        img = np.zeros((d**m, d**m), dtype=np.complex128)
-        for i in range(len(perms)):
-            inner = np.zeros_like(img)
-            for j in range(m + 1):
-                coeff = mc.lam[i, j]
-                if coeff != 0:
-                    inner += coeff * embeddings[j]
-            img += inner[rows[i]]
-        out[:, k] = vec(img)
-    return out
-
-
-def _basis_index(digits_1based, d: int) -> int:
-    flat = 0
-    for b in digits_1based:
-        flat = flat * d + (b - 1)
-    return flat
+    hits, flat = _scatter(m, d)
+    inner = np.zeros(flat.shape, dtype=np.complex128)
+    for j in range(m + 1):
+        inner[:, hits[:, j]] += mc.lam[:, j, None]
+    out = np.zeros(d ** (2 * m + 2), dtype=np.complex128)
+    for positions, values in zip(flat, inner):
+        out[positions] += values
+    return out.reshape(d ** (2 * m), d * d)
 
 
 def extract_multi(
@@ -203,44 +215,48 @@ def extract_multi(
         raise DimensionError(
             f"superoperator shape {superop.shape} does not match m={m}, d={d}"
         )
-    perms = enumerate_permutations(m)
-    forwards = [_flat_perm(p, d) for p in perms]
-    y = unvec(superop @ vec(matrix_unit(1, 2, d)), d**m)
-    z = unvec(superop @ vec(matrix_unit(1, 1, d)), d**m)
+    dim, shape = d**m, (d,) * m
+    forward = np.argsort(_rows(m, d), axis=1)
+    # Columns d and 0 are vec(image of e1 e2*) and vec(image of e1 e1*);
+    # entry (x, c) of an image sits at c * dim + x.
+    y, z = superop[:, d], superop[:, 0]
     lam = np.zeros((math.factorial(m), m + 1), dtype=np.complex128)
-    for j in range(2, m + 2):
-        slot = j - 1
-        fillers = iter(range(3, m + 2))
-        v_digits = [0] * m
-        w_digits = [0] * m
-        for t in range(1, m + 1):
-            if t == slot:
-                v_digits[t - 1] = 2
-                w_digits[t - 1] = 1
-            else:
-                b = next(fillers)
-                v_digits[t - 1] = b
-                w_digits[t - 1] = b
-        col = y[:, _basis_index(v_digits, d)]
-        w_flat = _basis_index(w_digits, d)
-        for i in range(len(perms)):
-            lam[i, j - 1] = col[forwards[i][w_flat]]
-    # Remaining part of the e1 e1* image is the pure trace combination.
-    rest = z.copy()
-    e11 = matrix_unit(1, 1, d)
-    for j in range(2, m + 2):
-        emb = slot_embedding(j, e11, m, d)
-        for i in range(len(perms)):
-            if lam[i, j - 1] != 0:
-                rest -= lam[i, j - 1] * emb[_row_perm(forwards[i])]
-    u_digits = list(range(1, m + 1))
-    u_flat = _basis_index(u_digits, d)
-    col = rest[:, u_flat]
-    for i in range(len(perms)):
-        lam[i, 0] = col[forwards[i][u_flat]]
+    fillers = list(range(2, m + 1))
+    for slot in range(m):
+        v = np.ravel_multi_index(fillers[:slot] + [1] + fillers[slot:], shape)
+        w = np.ravel_multi_index(fillers[:slot] + [0] + fillers[slot:], shape)
+        lam[:, slot + 1] = y[v * dim + forward[:, w]]
+    # u has distinct digits, so at the tensor permutation i makes of it the
+    # e1 e1* image holds only that permutation's trace and first-slot weights.
+    u = np.ravel_multi_index(range(m), shape)
+    lam[:, 0] = z[u * dim + forward[:, u]] - lam[:, 1]
     mc = MultiCopyCoefficients(m, d, lam)
     residual = operator_norm(superop - realize_multi_superoperator(mc))
     return mc, residual
+
+
+def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: int) -> float:
+    """Largest covariance defect over sampled unitaries and all matrix units.
+
+    Per sampled U, every unit image F(U E_ab U^dag) is compared at once
+    with W F(E_ab) W^dag, W = U^(x m), in operator norm.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    dim = d**m
+
+    def images(cols: np.ndarray) -> np.ndarray:
+        return cols.T.reshape(d * d, dim, dim).transpose(0, 2, 1)
+
+    before = images(superop)
+    worst = 0.0
+    for k in range(samples):
+        u = haar_unitary(d, seed, k)
+        w = reduce(np.kron, [u] * m)
+        lhs = images(superop @ np.kron(u.conj(), u))
+        rhs = w @ before @ w.conj().T
+        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2, axis=(1, 2)).max()))
+    return worst
 
 
 def covariance_residual_multi(
@@ -253,19 +269,7 @@ def covariance_residual_multi(
         raise DimensionError(
             f"superoperator shape {superop.shape} does not match m={m}, d={d}"
         )
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    worst = 0.0
-    for k in range(samples):
-        u = haar_unitary(d, seed, k)
-        um = reduce(np.kron, [u] * m)
-        for a in range(1, d + 1):
-            for b in range(1, d + 1):
-                x = matrix_unit(a, b, d)
-                lhs = unvec(superop @ vec(u @ x @ u.conj().T), d**m)
-                rhs = um @ unvec(superop @ vec(x), d**m) @ um.conj().T
-                worst = max(worst, operator_norm(lhs - rhs))
-    return worst
+    return _covariance_defect(superop, m, d, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -292,15 +296,12 @@ def schur_weyl_fit(t, m: int, d: int) -> SchurWeylFit:
     t = as_matrix(t)
     if t.shape != (d**m, d**m):
         raise DimensionError(f"operator shape {t.shape} does not match m={m}, d={d}")
-    perms = enumerate_permutations(m)
-    gammas = [permutation_operator(p, d) for p in perms]
-    n = len(gammas)
-    gram = np.empty((n, n), dtype=np.complex128)
-    rhs = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        rhs[i] = np.vdot(gammas[i], t)
-        for k in range(n):
-            gram[i, k] = np.vdot(gammas[i], gammas[k])
+    rows = _rows(m, d)
+    n, cols = len(rows), np.arange(d**m)
+    # P(s) has its ones at (x, r_s[x]), so <P(s), P(t)> counts the x with
+    # r_s[x] == r_t[x] and <P(s), t> sums t[x, r_s[x]].
+    gram = (rows[:, None, :] == rows[None, :, :]).sum(axis=2).astype(np.complex128)
+    rhs = t[cols, rows].sum(axis=1)
     rank = np.linalg.matrix_rank(gram, hermitian=True)
     if rank < n:
         coeffs = np.linalg.pinv(gram, hermitian=True) @ rhs
@@ -308,7 +309,9 @@ def schur_weyl_fit(t, m: int, d: int) -> SchurWeylFit:
     else:
         coeffs = np.linalg.solve(gram, rhs)
         degenerate = False
-    approx = sum(coeffs[i] * gammas[i] for i in range(n))
+    approx = np.zeros_like(t)
+    for coeff, r in zip(coeffs, rows):
+        approx[cols, r] += coeff
     return SchurWeylFit(coeffs, frobenius_norm(t - approx), degenerate)
 
 

@@ -71,7 +71,7 @@ def psi_identity_norm(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) ->
     c1, c2, c3, c4, _, _ = c.coeffs
     value = max(abs(c1 + c2 + c3 + c4), abs(c1 + c2 - c3 - c4))
     direct = operator_norm(apply_map(c, np.eye(c.d)))
-    if abs(value - direct) > 1e-9 * max(1.0, value):
+    if abs(value - direct) > tol.bound(value):
         raise RuntimeError(
             f"identity-image norm mismatch: closed form {value}, direct {direct}"
         )
@@ -138,7 +138,7 @@ def cb_norm(
         # m1 = 2(c1 + c3) and m4 = 2(c1 - c3) are the two eigenvalue families.
         value = max(abs(m1), abs(m4))
         return CbNormResult("exact", float(value), "swap-symmetric", detail)
-    on_variety = abs(c1 * c2 - c3 * c4) <= 1e-9 * max(1.0, scale**2)
+    on_variety = abs(c1 * c2 - c3 * c4) <= tol.bound(scale**2)
     if on_variety:
         identity_norm = max(abs(m1), abs(m4))
         if identity_norm >= max(abs(m2), abs(m3)) - thr:

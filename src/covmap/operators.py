@@ -138,6 +138,16 @@ def sym_projector(d: int, sign: int = +1) -> np.ndarray:
     return (np.eye(d * d, dtype=np.complex128) + sign * swap_operator(d)) / 2
 
 
+def _row_index(p: Permutation, d: int) -> np.ndarray:
+    """Index array r with permutation_operator(p, d) @ A == A[r].
+
+    Row y of the permuted operator is row r[y] of A, where slot k of r[y]
+    carries digit p(k) of y: a transpose of the digit axes of arange(d**m).
+    """
+    axes = [k - 1 for k in p.inverse().image]
+    return np.arange(d**p.m).reshape((d,) * p.m).transpose(axes).reshape(-1)
+
+
 def permutation_operator(p: Permutation, d: int) -> np.ndarray:
     """Operator permuting the m factors of (C^d)^(x m) according to p.
 
@@ -146,22 +156,7 @@ def permutation_operator(p: Permutation, d: int) -> np.ndarray:
     """
     if d < 1:
         raise DimensionError(f"need d >= 1, got {d}")
-    m = p.m
-    dim = d**m
-    inv = p.inverse().image
-    g = np.zeros((dim, dim), dtype=np.complex128)
-    for flat in range(dim):
-        digits = []
-        rest = flat
-        for _ in range(m):
-            digits.append(rest % d)
-            rest //= d
-        digits.reverse()  # first slot slowest
-        out = 0
-        for t in range(m):
-            out = out * d + digits[inv[t] - 1]
-        g[out, flat] = 1.0
-    return g
+    return np.eye(d**p.m, dtype=np.complex128)[_row_index(p, d)]
 
 
 def substream(seed: int, index: int = 0, stream: int = 0) -> np.random.Generator:

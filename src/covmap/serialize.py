@@ -8,6 +8,7 @@ value bit-exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from typing import Any
@@ -55,14 +56,22 @@ def _pair(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _unpair(obj) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
+    if not (
+        isinstance(obj, (list, tuple)) and len(obj) == 2 and _is_real(obj[0]) and _is_real(obj[1])
     ):
         raise SchemaError(f"expected a [real, imag] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    try:
+        z = complex(float(obj[0]), float(obj[1]))
+        if cmath.isfinite(z):
+            return z
+    except OverflowError:  # an integer beyond the double range
+        pass
+    raise SchemaError(f"expected finite values, got {obj!r}")
 
 
 def _require(obj, key: str):

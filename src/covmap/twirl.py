@@ -14,16 +14,9 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    DimensionError,
-    Tolerance,
-    as_matrix,
-    operator_norm,
-    unvec,
-    vec,
-)
-from .operators import haar_unitary, matrix_unit
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, as_matrix
+from .multicopy import _covariance_defect
+from .operators import haar_unitary
 from .twocopy import CovariantCoefficients, extract, fit_coefficients
 
 __all__ = [
@@ -54,19 +47,7 @@ def covariance_deviation(superop, d: int, samples: int = 20, seed: int = 0) -> f
         raise DimensionError(f"need d >= 2, got {d}")
     if superop.shape != (d**4, d**2):
         raise DimensionError(f"superoperator shape {superop.shape} does not match d={d}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    worst = 0.0
-    for k in range(samples):
-        u = haar_unitary(d, seed, k)
-        w = np.kron(u, u)
-        for a in range(1, d + 1):
-            for b in range(1, d + 1):
-                x = matrix_unit(a, b, d)
-                lhs = unvec(superop @ vec(u @ x @ u.conj().T), d * d)
-                rhs = w @ unvec(superop @ vec(x), d * d) @ w.conj().T
-                worst = max(worst, operator_norm(lhs - rhs))
-    return worst
+    return _covariance_defect(superop, 2, d, samples, seed)
 
 
 @dataclass(frozen=True)

@@ -134,10 +134,6 @@ def choi_matrix(c: CovariantCoefficients) -> np.ndarray:
     return blocks
 
 
-def _image_of(superop: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
-    return unvec(superop @ vec(x), d * d)
-
-
 def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoefficients, float]:
     """Read the six weights off single matrix elements of two probe images.
 
@@ -156,8 +152,9 @@ def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoe
         raise GaugeAmbiguousError("weights are not unique at d = 2")
     if superop.shape != (d**4, d**2):
         raise DimensionError(f"superoperator shape {superop.shape} does not match d={d}")
-    y = _image_of(superop, matrix_unit(1, 2, d), d)
-    z = _image_of(superop, matrix_unit(1, 1, d), d)
+    # Columns d and 0 are vec(image of e1 e2*) and vec(image of e1 e1*).
+    y = unvec(superop[:, d], d * d)
+    z = unvec(superop[:, 0], d * d)
     # Image of e1e2* on e3(x)e2 has weight c1 on e3(x)e1 and c3 on e1(x)e3;
     # on e2(x)e3 it has c2 on e1(x)e3 and c4 on e3(x)e1.  Trace weights sit
     # in the image of e1e1* on e2(x)e3.

@@ -64,6 +64,26 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
 
 
+def test_non_finite_weight_exits_2(tmp_path, capsys):
+    f = tmp_path / "nan.json"
+    f.write_text(
+        '{"d": 3, "coeffs": [[NaN, 0], [0, 0], [0.5, 0], [0.5, 0], [0, 0], [0, 0]]}',
+        encoding="utf-8",
+    )
+    assert main(["norm", str(f)]) == 2
+    assert "expected finite values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [[0.0, float("-inf")], [10**400, 0]])
+def test_non_finite_matrix_entry_exits_2(tmp_path, capsys, bad):
+    obj = matrix_to_obj(realize_superoperator(virtual_broadcast_coefficients(3)))
+    obj["data"][5] = bad
+    f = tmp_path / "sup.json"
+    f.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["classify", str(f)]) == 2
+    assert "expected finite values" in capsys.readouterr().err
+
+
 def test_norm_command(tmp_path, capsys):
     f = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
     assert main(["norm", f]) == 0

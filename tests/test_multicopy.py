@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from covmap.multicopy import (
     slot_embedding,
     to_two_copy,
 )
-from covmap.twirl import twirl_operator
+from covmap.twirl import covariance_deviation, twirl_operator
 from covmap.classify import commutant_fit
-from covmap.operators import Permutation, matrix_unit, permutation_operator
+from covmap.operators import Permutation, haar_unitary, matrix_unit, permutation_operator
 from covmap.twocopy import (
     CovariantCoefficients,
     apply_map,
@@ -290,3 +291,99 @@ def test_virtual_broadcaster_through_multicopy_path():
     assert res < 1e-12
     back = to_two_copy(got)
     assert np.abs(back.as_array() - c.as_array()).max() < 1e-12
+
+
+# Loop references for the index-arithmetic kernel: the benchmark shapes,
+# plus d = 2 for every m.
+KERNEL_SHAPES = [(2, 3), (2, 6), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (2, 2), (3, 2), (4, 2)]
+
+
+def _digit_loop_forward(p, d):
+    """forward[flat] = flat index of the basis tensor p moves e_flat to."""
+    m = p.m
+    inv = p.inverse().image
+    forward = np.empty(d**m, dtype=np.intp)
+    for flat in range(d**m):
+        digits = list(np.unravel_index(flat, (d,) * m))
+        out = 0
+        for t in range(m):
+            out = out * d + int(digits[inv[t] - 1])
+        forward[flat] = out
+    return forward
+
+
+def _digit_loop_permutation(p, d):
+    g = np.zeros((d**p.m, d**p.m), dtype=np.complex128)
+    g[_digit_loop_forward(p, d), np.arange(d**p.m)] = 1.0
+    return g
+
+
+def _per_column_realize(mc):
+    """Each column is the dense image of one matrix unit."""
+    m, d = mc.m, mc.d
+    rows = [np.argsort(_digit_loop_forward(p, d)) for p in enumerate_permutations(m)]
+    out = np.zeros((d ** (2 * m), d * d), dtype=np.complex128)
+    for k in range(d * d):
+        x = unvec(np.eye(d * d, dtype=np.complex128)[k], d)
+        embeddings = [slot_embedding(j, x, m, d) for j in range(1, m + 2)]
+        img = np.zeros((d**m, d**m), dtype=np.complex128)
+        for i, r in enumerate(rows):
+            inner = np.zeros_like(img)
+            for j in range(m + 1):
+                if mc.lam[i, j] != 0:
+                    inner += mc.lam[i, j] * embeddings[j]
+            img += inner[r]
+        out[:, k] = vec(img)
+    return out
+
+
+def _dense_gram_fit(t, m, d):
+    gammas = [_digit_loop_permutation(p, d) for p in enumerate_permutations(m)]
+    gram = np.array([[np.vdot(g, h) for h in gammas] for g in gammas])
+    rhs = np.array([np.vdot(g, t) for g in gammas])
+    coeffs = np.linalg.pinv(gram, hermitian=True) @ rhs
+    return coeffs, np.linalg.norm(t - sum(c * g for c, g in zip(coeffs, gammas)))
+
+
+def _loop_defect(sup, m, d, samples, seed):
+    worst = 0.0
+    for k in range(samples):
+        u = haar_unitary(d, seed, k)
+        w = reduce(np.kron, [u] * m)
+        for a in range(1, d + 1):
+            for b in range(1, d + 1):
+                x = matrix_unit(a, b, d)
+                lhs = unvec(sup @ vec(u @ x @ u.conj().T), d**m)
+                rhs = w @ unvec(sup @ vec(x), d**m) @ w.conj().T
+                worst = max(worst, np.linalg.norm(lhs - rhs, 2))
+    return worst
+
+
+@pytest.mark.parametrize("m,d", KERNEL_SHAPES)
+def test_kernel_matches_loop_references(m, d):
+    rng = np.random.default_rng(100 + 10 * m + d)
+    perms = enumerate_permutations(m)
+    for p in perms:
+        assert permutation_operator(p, d).tobytes() == _digit_loop_permutation(p, d).tobytes()
+    lam = rng.standard_normal((len(perms), m + 1)) + 1j * rng.standard_normal((len(perms), m + 1))
+    lam[rng.random(lam.shape) < 0.2] = 0.0
+    mc = MultiCopyCoefficients(m, d, lam)
+    sup = realize_multi_superoperator(mc)
+    assert sup.tobytes() == _per_column_realize(mc).tobytes()
+    t = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
+    fit = schur_weyl_fit(t, m, d)
+    coeffs, residual = _dense_gram_fit(t, m, d)
+    assert np.abs(fit.coefficients - coeffs).max() < 1e-12
+    assert fit.residual == pytest.approx(residual, rel=1e-12)
+    assert fit.degenerate == (d < m)
+    if d**m <= 125:
+        noisy = sup + 1e-3 * rng.standard_normal(sup.shape)
+        got = covariance_residual_multi(noisy, m, d, samples=2, seed=5)
+        assert got == pytest.approx(_loop_defect(noisy, m, d, 2, 5), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_two_copy_defect_is_the_m2_view(d):
+    rng = np.random.default_rng(200 + d)
+    sup = rng.standard_normal((d**4, d**2)) + 1j * rng.standard_normal((d**4, d**2))
+    assert covariance_deviation(sup, d, 3, 7) == covariance_residual_multi(sup, 2, d, 3, 7)

@@ -100,6 +100,15 @@ def test_cb_norm_variety_exact_when_outer_corners_dominate():
     assert res.value == pytest.approx(6.0)
 
 
+def test_cb_norm_variety_test_follows_tolerance():
+    # c1 c2 - c3 c4 = -2e-6: off the variety at the default tolerance, on it at a loose one
+    c = CovariantCoefficients(3, (2, 1, 2, 1 + 1e-6, 0, 0))
+    assert cb_norm(c, samples=20, seed=1).method == "monte-carlo"
+    loose = cb_norm(c, samples=20, seed=1, tol=Tolerance(abs=1e-4, rel=1e-4))
+    assert (loose.value_kind, loose.method) == ("exact", "corner-compression")
+    assert loose.value == pytest.approx(6.0, abs=1e-5)
+
+
 def test_cb_norm_generic_lower_bound():
     c = CovariantCoefficients(3, (1, 0.3, 0.7, -0.2, 0, 0))
     res = cb_norm(c, samples=150, seed=7)
