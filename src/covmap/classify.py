@@ -14,16 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    DimensionError,
-    Tolerance,
-    as_matrix,
-    frobenius_norm,
-    is_psd,
-    operator_norm,
-)
-from .operators import matrix_unit, swap_operator
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, as_matrix, is_psd, operator_norm
+from .multicopy import _schur_weyl
+from .operators import _shaped, matrix_unit
 from .twocopy import (
     CovariantCoefficients,
     apply_map,
@@ -268,23 +261,14 @@ def is_virtual_broadcaster(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TO
 def commutant_fit(t, d: int) -> tuple[complex, complex, float]:
     """Best approximation of a two-copy operator by alpha*I + beta*S.
 
-    Exact normal-equation solve in the span of the identity and the swap;
+    The m = 2 case of the permutation-span solve behind
+    :func:`covmap.multicopy.schur_weyl_fit`, without its desk-scale cap;
     returns (alpha, beta, Frobenius residual).  Residual 0 certifies
     membership in the commutant of all U (x) U.
     """
-    t = as_matrix(t)
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
-    if t.shape != (d * d, d * d):
-        raise DimensionError(f"operator shape {t.shape} does not match d={d}")
-    s = swap_operator(d)
-    tr_t = complex(np.trace(t))
-    tr_st = complex(np.trace(s @ t))
-    det = d**4 - d**2
-    alpha = (d * d * tr_t - d * tr_st) / det
-    beta = (d * d * tr_st - d * tr_t) / det
-    residual = frobenius_norm(t - alpha * np.eye(d * d) - beta * s)
-    return alpha, beta, residual
+    fit = _schur_weyl(_shaped(t, d, kind="operator"), 2, d)
+    alpha, beta = fit.coefficients
+    return complex(alpha), complex(beta), fit.residual
 
 
 @dataclass(frozen=True)

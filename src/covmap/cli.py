@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input, 3 dimension mismatch, 4 trace
-terms present where the norm analysis forbids them, 5 weight uniqueness
-unavailable (multicopy extraction below d = m + 1).
+Exit codes: 0 success, 2 malformed input (a bad config file included),
+3 dimension mismatch or a problem above the desk-scale cap d**m <= 256
+(d <= 16 for two-copy maps), 4 trace terms present where the norm
+analysis forbids them, 5 weight uniqueness unavailable (multicopy
+extraction below d = m + 1).
 
 Defaults may be placed in a JSON file named by the COVMAP_CONFIG
 environment variable; explicit flags always win.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ from .classify import classify
 from .linalg import DimensionError, Tolerance
 from .multicopy import (
     UniquenessUnavailableError,
+    _check_desk,
     apply_multi,
     extract_multi,
     schur_weyl_fit,
@@ -38,7 +42,15 @@ EXIT_DIMENSION = 3
 EXIT_TRACE_TERMS = 4
 EXIT_UNIQUENESS = 5
 
-_CONFIG_KEYS = {"tol_abs", "tol_rel", "samples", "seed", "d", "format"}
+# Config key -> accepted JSON types; bool is never accepted as a number.
+_CONFIG_TYPES = {
+    "tol_abs": (int, float),
+    "tol_rel": (int, float),
+    "samples": int,
+    "seed": int,
+    "d": int,
+    "format": str,
+}
 
 
 @dataclass
@@ -60,13 +72,16 @@ def _load_config() -> dict:
     path = os.environ.get("COVMAP_CONFIG")
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise SchemaError("config file must hold a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
+    unknown = set(obj) - set(_CONFIG_TYPES)
     if unknown:
         raise SchemaError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        ok = isinstance(value, _CONFIG_TYPES[key]) and not isinstance(value, bool)
+        if not ok or (isinstance(value, float) and not math.isfinite(value)):
+            raise SchemaError(f"config key {key!r} has invalid value {value!r}")
     return obj
 
 
@@ -109,14 +124,12 @@ def _load_two_copy_map(obj, settings: _Settings):
         c = serialize.coefficients_from_obj(obj)
         if settings.d is not None and settings.d != c.d:
             raise DimensionError(f"--d {settings.d} conflicts with file d={c.d}")
+        _check_desk(2, c.d)
         return c, None
     if isinstance(obj, dict) and "rows" in obj:
         superop = serialize.matrix_from_obj(obj)
         d = settings.d if settings.d is not None else _infer_d(superop.shape[1])
-        if superop.shape != (d**4, d**2):
-            raise DimensionError(
-                f"superoperator shape {superop.shape} does not match d={d}"
-            )
+        _check_desk(2, d)
         if d >= 3:
             return extract(superop, d, settings.tol)
         return fit_coefficients(superop, d)
@@ -173,6 +186,7 @@ def _cmd_twirl(args: argparse.Namespace) -> int:
         raise SchemaError("twirl expects a superoperator matrix object")
     superop = serialize.matrix_from_obj(obj)
     d = settings.d if settings.d is not None else _infer_d(superop.shape[1])
+    _check_desk(2, d)
     result = twirl(superop, d, samples=settings.samples, seed=settings.seed, tol=settings.tol)
     _emit(serialize.twirl_result_to_obj(result), settings)
     return EXIT_OK

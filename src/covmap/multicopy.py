@@ -13,41 +13,21 @@ d >= m + 1, which is what entrywise extraction requires.
 
 Desk-scale guard: 2 <= m <= 4 and d**m <= 256.
 
-Index convention: the basis tensor with digits (i_1, ..., i_m) sits at
-flat index i_1 d^(m-1) + ... + i_m (first slot slowest, as np.kron), and a
-slot permutation is stored as a row-index array r with P(s) @ A == A[r],
-a transpose of the digit axes of arange(d**m).  Superoperators stack
-columns, so the image of E_ab is column (b-1) d + (a-1) and its entry
-(x, c) is row c d^m + x; realize, extract and fit therefore scatter and
-gather single entries instead of multiplying by dense permutations.
-
-Cache: the row indices and the scatter positions of the generators depend
-on (m, d) alone.  Each (m, d) is built on first use and kept for the life
-of the process; the cache holds this structure only, never weights or
-results.  It takes under 1 MB at (4, 4) and about 2.5 MB for all 23 pairs
-inside the desk cap.
+Slot permutations, generator positions and the realize scatter are the
+index kernel of :mod:`covmap.operators`; this module is its m-copy face.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    DimensionError,
-    Tolerance,
-    as_matrix,
-    frobenius_norm,
-    operator_norm,
-)
-from .operators import Permutation, _row_index, haar_unitary
-from .twocopy import CovariantCoefficients
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, operator_norm
+from .operators import _realize, _rows, _shaped, enumerate_permutations, haar_unitary
+from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
 
 __all__ = [
     "UniquenessUnavailableError",
@@ -75,12 +55,7 @@ def _check_desk(m: int, d: int) -> None:
     if d < 2:
         raise DimensionError(f"need d >= 2, got {d}")
     if d**m > 256:
-        raise ValueError(f"d**m = {d**m} exceeds the desk-scale cap 256")
-
-
-def enumerate_permutations(m: int) -> list[Permutation]:
-    """All permutations of {1..m}, lexicographic in one-line notation."""
-    return [Permutation(img) for img in itertools.permutations(range(1, m + 1))]
+        raise DimensionError(f"d**m = {d**m} exceeds the desk-scale cap 256")
 
 
 @dataclass(frozen=True)
@@ -108,9 +83,7 @@ class MultiCopyCoefficients:
 def slot_embedding(j: int, x, m: int, d: int) -> np.ndarray:
     """Generator j applied to x: trace term for j = 1, slot j-1 for j >= 2."""
     _check_desk(m, d)
-    x = as_matrix(x)
-    if x.shape != (d, d):
-        raise DimensionError(f"input shape {x.shape} does not match d={d}")
+    x = _shaped(x, d, m, "input")
     if j == 1:
         return np.trace(x) * np.eye(d**m, dtype=np.complex128)
     if not 2 <= j <= m + 1:
@@ -118,46 +91,6 @@ def slot_embedding(j: int, x, m: int, d: int) -> np.ndarray:
     factors = [np.eye(d, dtype=np.complex128)] * m
     factors[j - 2] = x
     return reduce(np.kron, factors)
-
-
-@functools.lru_cache(maxsize=None)
-def _rows(m: int, d: int) -> np.ndarray:
-    """Row indices r_s with P(s) @ A == A[r_s], one row per permutation."""
-    rows = np.stack([_row_index(p, d) for p in enumerate_permutations(m)])
-    rows.setflags(write=False)
-    return rows
-
-
-@functools.lru_cache(maxsize=None)
-def _scatter(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the generators P(s) F_j put their ones in a realized superoperator.
-
-    Returns (hits, flat) over the joint support of the unpermuted
-    generators: hits[u, j] is True when F_(j+1) has a one at entry u, and
-    flat[i, u] is the flat index of entry u in the d^(2m) x d^2 matrix once
-    permutation i has moved its rows.
-    """
-    dim, dd = d**m, d * d
-    c = np.arange(dim)[:, None]
-    a = np.arange(d)[None, :]
-    # Entry keys are (vec row) * d^2 + column; the image of E_ab is column
-    # b d + a, and output entry (x, c) of an image sits at vec row c dim + x.
-    keys = [np.broadcast_to((c * dim + c) * dd + a * (d + 1), (dim, d))]  # tr(E_aa) I
-    for slot in range(m):
-        place = d ** (m - 1 - slot)
-        b = c // place % d
-        x = c + (a - b) * place  # c with the digit of this slot set to a
-        keys.append((c * dim + x) * dd + b * d + a)
-    keys = np.stack([k.reshape(-1) for k in keys])
-    support, inverse = np.unique(keys.reshape(-1), return_inverse=True)
-    hits = np.zeros((support.size, m + 1), dtype=bool)
-    hits[inverse.reshape(keys.shape), np.arange(m + 1)[:, None]] = True
-    x = support // dd % dim
-    forward = np.argsort(_rows(m, d), axis=1)  # row x moves to row forward[i, x]
-    flat = support + (forward[:, x] - x) * dd
-    hits.setflags(write=False)
-    flat.setflags(write=False)
-    return hits, flat
 
 
 def apply_multi(mc: MultiCopyCoefficients, x) -> np.ndarray:
@@ -181,15 +114,7 @@ def realize_multi_superoperator(mc: MultiCopyCoefficients) -> np.ndarray:
     Weights are summed per permutation in generator order, then across
     permutations in order, as apply_multi sums them.
     """
-    m, d = mc.m, mc.d
-    hits, flat = _scatter(m, d)
-    inner = np.zeros(flat.shape, dtype=np.complex128)
-    for j in range(m + 1):
-        inner[:, hits[:, j]] += mc.lam[:, j, None]
-    out = np.zeros(d ** (2 * m + 2), dtype=np.complex128)
-    for positions, values in zip(flat, inner):
-        out[positions] += values
-    return out.reshape(d ** (2 * m), d * d)
+    return _realize(mc.lam, mc.m, mc.d)
 
 
 def extract_multi(
@@ -204,17 +129,14 @@ def extract_multi(
     recovered slot terms are subtracted.  Needs d >= m + 1; otherwise the
     weights are not unique and UniquenessUnavailableError is raised.
     Returns (coefficients, operator-norm residual against the input).
+    ``tol`` is accepted for signature compatibility and not used.
     """
     _check_desk(m, d)
     if d < m + 1:
         raise UniquenessUnavailableError(
             f"weights are not unique for d={d} < m+1={m + 1}"
         )
-    superop = as_matrix(superop)
-    if superop.shape != (d ** (2 * m), d * d):
-        raise DimensionError(
-            f"superoperator shape {superop.shape} does not match m={m}, d={d}"
-        )
+    superop = _shaped(superop, d, m)
     dim, shape = d**m, (d,) * m
     forward = np.argsort(_rows(m, d), axis=1)
     # Columns d and 0 are vec(image of e1 e2*) and vec(image of e1 e1*);
@@ -264,12 +186,7 @@ def covariance_residual_multi(
 ) -> float:
     """Largest covariance defect over sampled unitaries and matrix units."""
     _check_desk(m, d)
-    superop = as_matrix(superop)
-    if superop.shape != (d ** (2 * m), d * d):
-        raise DimensionError(
-            f"superoperator shape {superop.shape} does not match m={m}, d={d}"
-        )
-    return _covariance_defect(superop, m, d, samples, seed)
+    return _covariance_defect(_shaped(superop, d, m), m, d, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -293,9 +210,11 @@ def schur_weyl_fit(t, m: int, d: int) -> SchurWeylFit:
     commuting with every U^(x m).
     """
     _check_desk(m, d)
-    t = as_matrix(t)
-    if t.shape != (d**m, d**m):
-        raise DimensionError(f"operator shape {t.shape} does not match m={m}, d={d}")
+    return _schur_weyl(_shaped(t, d, m, "operator"), m, d)
+
+
+def _schur_weyl(t: np.ndarray, m: int, d: int) -> SchurWeylFit:
+    """The solve behind :func:`schur_weyl_fit`, without the desk-scale cap."""
     rows = _rows(m, d)
     n, cols = len(rows), np.arange(d**m)
     # P(s) has its ones at (x, r_s[x]), so <P(s), P(t)> counts the x with
@@ -317,16 +236,11 @@ def schur_weyl_fit(t, m: int, d: int) -> SchurWeylFit:
 
 def from_two_copy(c: CovariantCoefficients) -> MultiCopyCoefficients:
     """Two-copy weights in table form: identity row then swap row."""
-    c1, c2, c3, c4, c5, c6 = c.coeffs
-    lam = np.array([[c5, c2, c1], [c6, c4, c3]], dtype=np.complex128)
-    return MultiCopyCoefficients(2, c.d, lam)
+    return MultiCopyCoefficients(2, c.d, c.as_array()[_TABLE])
 
 
 def to_two_copy(mc: MultiCopyCoefficients) -> CovariantCoefficients:
     """Inverse of :func:`from_two_copy`; only defined for m = 2."""
     if mc.m != 2:
         raise ValueError(f"two-copy view needs m = 2, got m={mc.m}")
-    lam = mc.lam
-    return CovariantCoefficients(
-        mc.d, (lam[0, 2], lam[0, 1], lam[1, 2], lam[1, 1], lam[0, 0], lam[1, 0])
-    )
+    return CovariantCoefficients(mc.d, mc.lam.reshape(-1)[_UNTABLE])

@@ -14,9 +14,9 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .multicopy import _covariance_defect
-from .operators import haar_unitary
+from .operators import _shaped, haar_unitary
 from .twocopy import CovariantCoefficients, extract, fit_coefficients
 
 __all__ = [
@@ -42,12 +42,7 @@ def conjugated_superoperator(superop, u) -> np.ndarray:
 
 def covariance_deviation(superop, d: int, samples: int = 20, seed: int = 0) -> float:
     """Largest covariance defect over sampled unitaries and matrix units."""
-    superop = as_matrix(superop)
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
-    if superop.shape != (d**4, d**2):
-        raise DimensionError(f"superoperator shape {superop.shape} does not match d={d}")
-    return _covariance_defect(superop, 2, d, samples, seed)
+    return _covariance_defect(_shaped(superop, d), 2, d, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -86,11 +81,7 @@ def twirl(
     Weights come from entrywise extraction for d >= 3 and from the
     least-squares fit (gauge-reduced) at d = 2.
     """
-    superop = as_matrix(superop)
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
-    if superop.shape != (d**4, d**2):
-        raise DimensionError(f"superoperator shape {superop.shape} does not match d={d}")
+    superop = _shaped(superop, d)
     if samples < 1:
         raise ValueError("need at least one sample")
     acc = np.zeros_like(superop)
@@ -120,11 +111,7 @@ def twirl(
 
 def twirl_operator(t, m: int, d: int, samples: int = 1000, seed: int = 0) -> np.ndarray:
     """Haar average of U^(x m) @ t @ U^(x m)^dag, sample-indexed like twirl."""
-    t = as_matrix(t)
-    if m < 1 or d < 2:
-        raise DimensionError(f"need m >= 1 and d >= 2, got m={m}, d={d}")
-    if t.shape != (d**m, d**m):
-        raise DimensionError(f"operator shape {t.shape} does not match m={m}, d={d}")
+    t = _shaped(t, d, m, "operator")
     if samples < 1:
         raise ValueError("need at least one sample")
     acc = np.zeros_like(t)

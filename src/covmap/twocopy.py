@@ -15,6 +15,11 @@ generators satisfy one linear relation,
 so coefficient vectors are determined only up to multiples of the
 direction g = (1, 1, -1, -1, -1, 1); ``gauge_reduce`` removes the
 ambiguity by projecting onto the orthogonal complement of g.
+
+The family is the m = 2 view of the m-copy index kernel in
+:mod:`covmap.operators`: the six weights fill the table of the identity
+and swap permutations, [[c5, c2, c1], [c6, c4, c3]], and realize, the
+generator basis and the Choi matrix all come from that table's scatter.
 """
 
 from __future__ import annotations
@@ -23,16 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    DimensionError,
-    Tolerance,
-    as_matrix,
-    operator_norm,
-    unvec,
-    vec,
-)
-from .operators import matrix_unit, swap_operator
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, operator_norm, unvec, vec
+from .operators import _realize, _shaped, swap_operator
 
 __all__ = [
     "GAUGE_DIRECTION",
@@ -50,6 +47,11 @@ __all__ = [
 ]
 
 GAUGE_DIRECTION = np.array([1, 1, -1, -1, -1, 1], dtype=np.complex128)
+
+# Positions of c1..c6 in the m = 2 weight table: c.as_array()[_TABLE] is the
+# table, table.reshape(-1)[_UNTABLE] the six weights again.
+_TABLE = np.array([[4, 1, 0], [5, 3, 2]])
+_UNTABLE = np.argsort(_TABLE, axis=None)
 
 
 class GaugeAmbiguousError(ValueError):
@@ -88,10 +90,8 @@ def virtual_broadcast_coefficients(d: int) -> CovariantCoefficients:
 
 def apply_map(c: CovariantCoefficients, x) -> np.ndarray:
     """Image of the d x d matrix ``x``, a d^2 x d^2 matrix."""
-    x = as_matrix(x)
     d = c.d
-    if x.shape != (d, d):
-        raise DimensionError(f"input shape {x.shape} does not match d={d}")
+    x = _shaped(x, d, kind="input")
     eye = np.eye(d, dtype=np.complex128)
     s = swap_operator(d)
     ix = np.kron(eye, x)
@@ -105,33 +105,23 @@ def apply_map(c: CovariantCoefficients, x) -> np.ndarray:
 
 def realize_superoperator(c: CovariantCoefficients) -> np.ndarray:
     """d^4 x d^2 matrix M with M @ vec(X) == vec(apply_map(c, X))."""
-    d = c.d
-    m = np.zeros((d**4, d**2), dtype=np.complex128)
-    for k in range(d * d):
-        e = np.zeros(d * d, dtype=np.complex128)
-        e[k] = 1.0
-        m[:, k] = vec(apply_map(c, unvec(e, d)))
-    return m
+    return _realize(c.as_array()[_TABLE], 2, c.d)
 
 
 def basis_superoperators(d: int) -> list[np.ndarray]:
     """Superoperators of the six generators, in coefficient order."""
-    out = []
-    for k in range(6):
-        unit = [0] * 6
-        unit[k] = 1
-        out.append(realize_superoperator(CovariantCoefficients(d, tuple(unit))))
-    return out
+    return [realize_superoperator(CovariantCoefficients(d, unit)) for unit in np.eye(6)]
 
 
 def choi_matrix(c: CovariantCoefficients) -> np.ndarray:
-    """Block matrix sum_ij E_ij (x) apply_map(c, E_ij), of size d^3 x d^3."""
+    """Block matrix sum_ij E_ij (x) apply_map(c, E_ij), of size d^3 x d^3.
+
+    Entry (x, y) of the image of E_ij is superoperator entry
+    (y d^2 + x, j d + i), so the blocks are a transpose of its reshape.
+    """
     d = c.d
-    blocks = np.zeros((d**3, d**3), dtype=np.complex128)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            blocks += np.kron(matrix_unit(i, j, d), apply_map(c, matrix_unit(i, j, d)))
-    return blocks
+    images = realize_superoperator(c).reshape(d * d, d * d, d, d)  # [y, x, j, i]
+    return images.transpose(3, 1, 2, 0).reshape(d**3, d**3)
 
 
 def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoefficients, float]:
@@ -143,15 +133,12 @@ def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoe
     :func:`fit_coefficients` there).  Returns (coefficients, residual)
     where the residual is the operator-norm distance between ``superop``
     and the realized coefficients, so non-covariant input is detected
-    rather than silently projected.
+    rather than silently projected.  ``tol`` is accepted for signature
+    compatibility and not used.
     """
-    superop = as_matrix(superop)
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
     if d == 2:
         raise GaugeAmbiguousError("weights are not unique at d = 2")
-    if superop.shape != (d**4, d**2):
-        raise DimensionError(f"superoperator shape {superop.shape} does not match d={d}")
+    superop = _shaped(superop, d)
     # Columns d and 0 are vec(image of e1 e2*) and vec(image of e1 e1*).
     y = unvec(superop[:, d], d * d)
     z = unvec(superop[:, 0], d * d)
@@ -177,11 +164,7 @@ def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
     applied to scrub floating-point dust.  Returns (coefficients,
     operator-norm residual).
     """
-    superop = as_matrix(superop)
-    if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
-    if superop.shape != (d**4, d**2):
-        raise DimensionError(f"superoperator shape {superop.shape} does not match d={d}")
+    superop = _shaped(superop, d)
     basis = np.stack([vec(b) for b in basis_superoperators(d)], axis=1)
     sol, *_ = np.linalg.lstsq(basis, vec(superop), rcond=None)
     c = gauge_reduce(CovariantCoefficients(d, tuple(sol)))

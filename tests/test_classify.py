@@ -270,3 +270,8 @@ def test_classify_cp_tag_reflects_trace_terms():
     rep = classify(CovariantCoefficients(2, (0, 0, 0, 0, 1, 0)))
     assert rep.completely_positive == "numerical-only"
     assert rep.evidence["cp_holds"] is True
+
+
+def test_commutant_fit_has_no_desk_cap():
+    # d = 17 is past the multicopy desk cap d**2 <= 256.
+    assert commutant_fit(swap_operator(17), 17) == (0, 1, 0)

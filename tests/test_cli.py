@@ -227,3 +227,53 @@ def test_config_unknown_key_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("COVMAP_CONFIG", str(cfg))
     f = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
     assert main(["classify", f]) == 2
+
+
+def test_config_file_missing_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COVMAP_CONFIG", str(tmp_path / "missing.json"))
+    f = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
+    assert main(["classify", f]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"samples": "10"},
+        {"seed": 1.5},
+        {"samples": True},
+        {"d": 3.0},
+        {"tol_abs": "1e-9"},
+        {"tol_rel": False},
+        {"format": 5},
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.setenv("COVMAP_CONFIG", str(cfg))
+    sup = realize_superoperator(virtual_broadcast_coefficients(3))
+    f = write(tmp_path / "sup.json", matrix_to_obj(sup))
+    assert main(["twirl", f]) == 2
+    assert "config key" in capsys.readouterr().err
+
+
+def test_config_accepts_integer_tolerance(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol_abs": 0, "tol_rel": 1e-9}), encoding="utf-8")
+    monkeypatch.setenv("COVMAP_CONFIG", str(cfg))
+    f = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
+    assert main(["classify", f]) == 0
+    assert json.loads(capsys.readouterr().out)["virtual_broadcaster"] is True
+
+
+@pytest.mark.parametrize("command", ["classify", "norm", "twirl"])
+def test_two_copy_above_desk_cap_exits_3(tmp_path, capsys, command):
+    # d = 17 would realize a 17^4 x 17^2 superoperator; the cap d**2 <= 256
+    # refuses it before anything of that size is allocated.
+    if command == "twirl":
+        f = write(tmp_path / "m.json", matrix_to_obj(np.zeros((1, 289))))
+    else:
+        f = write(tmp_path / "big.json", {"d": 17, "coeffs": [[0.0, 0.0]] * 6})
+    assert main([command, f]) == 3
+    assert "desk-scale cap" in capsys.readouterr().err

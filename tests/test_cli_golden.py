@@ -1,0 +1,77 @@
+"""Byte-for-byte golden outputs of the six seeded command-line forms.
+
+The inputs are built exactly as acceptance criterion 12 builds them, and
+each output is compared with a file in ``tests/data/cli_golden/``.  The
+files were captured with numpy 2.4.6 on scipy-openblas 0.3.31 (Python
+3.11, x86-64) from the code before the two-copy calculus was routed
+through the m-copy index kernel; a refactor that keeps them passing keeps
+the command line's output unchanged.  A different numpy or BLAS build
+may round differently in the last digit; recapture the files only for a
+change that is meant to alter the output, and say so in the change log.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from covmap.cli import main
+from covmap.linalg import vec
+from covmap.multicopy import MultiCopyCoefficients, realize_multi_superoperator
+from covmap.operators import matrix_unit, swap_operator
+from covmap.serialize import coefficients_to_obj, dumps, matrix_to_obj, multicopy_to_obj
+from covmap.twocopy import CovariantCoefficients, virtual_broadcast_coefficients
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+
+
+def _classical_copy_superoperator(d):
+    sup = np.zeros((d**4, d**2), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            x = matrix_unit(i + 1, j + 1, d)
+            y = np.zeros((d * d, d * d), dtype=complex)
+            for k in range(d):
+                y[k * d + k, k * d + k] = x[k, k]
+            sup[:, j * d + i] = vec(y)
+    return sup
+
+
+def criterion_12_invocations(tmp_path):
+    """The six argument lists of criterion 12, with their input files written."""
+    files = {
+        "vb": coefficients_to_obj(virtual_broadcast_coefficients(3)),
+        "bracket": coefficients_to_obj(CovariantCoefficients(3, (1, -1, 1, -1, 0, 0))),
+        "sup": matrix_to_obj(_classical_copy_superoperator(3)),
+    }
+    rng = np.random.default_rng(112)
+    lam = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    files["mc"] = multicopy_to_obj(MultiCopyCoefficients(2, 3, lam))
+    files["msup"] = matrix_to_obj(realize_multi_superoperator(MultiCopyCoefficients(2, 3, lam)))
+    files["x"] = matrix_to_obj(np.eye(3) + 0j)
+    files["swap"] = matrix_to_obj(swap_operator(3))
+    path = {}
+    for name, obj in files.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(dumps(obj))
+    p = {name: str(f) for name, f in path.items()}
+    return {
+        "classify": ["classify", p["vb"]],
+        "norm-bracket": ["norm", p["bracket"], "--samples", "300", "--seed", "5"],
+        "twirl": ["twirl", p["sup"], "--samples", "50", "--seed", "9"],
+        "multicopy-apply": ["multicopy", "apply", p["mc"], p["x"]],
+        "multicopy-extract": ["multicopy", "extract", p["msup"], "--m", "2", "--d", "3"],
+        "multicopy-fit": ["multicopy", "fit", p["swap"], "--m", "2", "--d", "3"],
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["classify", "norm-bracket", "twirl", "multicopy-apply", "multicopy-extract", "multicopy-fit"],
+)
+def test_criterion_12_outputs_match_golden_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("COVMAP_CONFIG", raising=False)
+    argv = criterion_12_invocations(tmp_path)[name]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmap.linalg import DimensionError, is_psd, kron, operator_norm, unvec, vec
+from covmap.multicopy import from_two_copy, realize_multi_superoperator
 from covmap.operators import haar_unitary, matrix_unit, swap_operator
 from covmap.twocopy import (
     GAUGE_DIRECTION,
@@ -228,3 +229,43 @@ def test_superoperator_columns_are_matrix_unit_images():
     e = np.zeros(4)
     e[1] = 1.0
     assert np.abs(m[:, 1] - vec(apply_map(c, unvec(e, 2)))).max() == 0.0
+
+
+# The two-copy calculus is the m = 2 view of the m-copy index kernel.  The
+# per-column apply_map loop and the kron-loop Choi matrix it replaced stay
+# here as references; they agree up to the summation order on the diagonal
+# entries of each E_aa image.
+
+
+def _column_loop_realize(c):
+    d = c.d
+    m = np.zeros((d**4, d**2), dtype=np.complex128)
+    for k in range(d * d):
+        m[:, k] = vec(apply_map(c, unvec(np.eye(d * d)[k], d)))
+    return m
+
+
+def _kron_loop_choi(c):
+    d = c.d
+    blocks = np.zeros((d**3, d**3), dtype=np.complex128)
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            blocks += np.kron(matrix_unit(i, j, d), apply_map(c, matrix_unit(i, j, d)))
+    return blocks
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_realize_is_the_m2_multicopy_realize(d):
+    c = _random_coeffs(np.random.default_rng(300 + d), d)
+    got = realize_superoperator(c)
+    assert got.tobytes() == realize_multi_superoperator(from_two_copy(c)).tobytes()
+    scale = c.max_magnitude()
+    assert np.abs(got - _column_loop_realize(c)).max() <= 1e-15 * scale
+    assert np.abs(choi_matrix(c) - _kron_loop_choi(c)).max() <= 1e-15 * scale
+
+
+def test_basis_superoperators_are_unit_realizations():
+    for d in (2, 3):
+        for k, b in enumerate(basis_superoperators(d)):
+            unit = CovariantCoefficients(d, tuple(np.eye(6)[k]))
+            assert b.tobytes() == _column_loop_realize(unit).tobytes()
