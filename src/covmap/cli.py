@@ -30,6 +30,7 @@ from .multicopy import (
     schur_weyl_fit,
 )
 from .norms import TraceTermsError, cb_norm
+from .operators import _check_samples
 from .serialize import SchemaError
 from .twirl import twirl
 from .twocopy import extract, fit_coefficients
@@ -95,6 +96,7 @@ def _settings_from(args: argparse.Namespace) -> _Settings:
             setattr(s, key, value)
     if s.format not in ("json", "text"):
         raise SchemaError(f"unknown output format {s.format!r}")
+    _check_samples(s.samples)  # a ValueError, so exit 2 before any draw
     return s
 
 

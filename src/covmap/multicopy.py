@@ -26,7 +26,8 @@ from functools import reduce
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, operator_norm
-from .operators import _realize, _rows, _shaped, enumerate_permutations, haar_unitary
+from .operators import _BLOCK, _check_samples, _haar_unitaries, _realize, _rows, _shaped
+from .operators import enumerate_permutations
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
 
 __all__ = [
@@ -163,8 +164,7 @@ def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: 
     Per sampled U, every unit image F(U E_ab U^dag) is compared at once
     with W F(E_ab) W^dag, W = U^(x m), in operator norm.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _check_samples(samples)
     dim = d**m
 
     def images(cols: np.ndarray) -> np.ndarray:
@@ -172,12 +172,12 @@ def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: 
 
     before = images(superop)
     worst = 0.0
-    for k in range(samples):
-        u = haar_unitary(d, seed, k)
-        w = reduce(np.kron, [u] * m)
-        lhs = images(superop @ np.kron(u.conj(), u))
-        rhs = w @ before @ w.conj().T
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2, axis=(1, 2)).max()))
+    for start in range(0, samples, _BLOCK):
+        for u in _haar_unitaries(d, seed, range(start, min(start + _BLOCK, samples))):
+            w = reduce(np.kron, [u] * m)
+            lhs = images(superop @ np.kron(u.conj(), u))
+            rhs = w @ before @ w.conj().T
+            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2, axis=(1, 2)).max()))
     return worst
 
 

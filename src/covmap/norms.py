@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, operator_norm
-from .operators import gaussian_hermitian, haar_unitary, substream
+from .operators import _check_samples, gaussian_hermitian, haar_unitary, substream
 from .twocopy import CovariantCoefficients, apply_map
 
 __all__ = [
@@ -88,8 +88,7 @@ def monte_carlo_norm(
     with normalized Gaussian Hermitian samples.  Deterministic per seed.
     """
     _require_trace_free(c, tol)
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _check_samples(samples)
     d = c.d
     best = operator_norm(apply_map(c, np.eye(d)))
     for k in range(1, samples):

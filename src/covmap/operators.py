@@ -269,20 +269,35 @@ def substream(seed: int, index: int = 0, stream: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_samples(*counts: int) -> None:
+    """Refuse a sample count below one or beyond the 2**40 substream indices."""
+    for samples in counts:
+        if not 1 <= samples <= 1 << 40:
+            raise ValueError(f"need 1 <= samples <= 2**40, got {samples}")
+
+
 def haar_unitary(d: int, seed: int, index: int = 0) -> np.ndarray:
     """Haar-distributed d x d unitary, deterministic per (seed, index).
 
     Ginibre sample, QR, then the R diagonal phases are absorbed so the
     distribution is exactly Haar rather than QR-convention biased.
     """
+    return _haar_unitaries(d, seed, [index])[0]
+
+
+def _haar_unitaries(d: int, seed: int, indices) -> np.ndarray:
+    """haar_unitary(d, seed, k) for each k in indices, stacked; one stacked QR."""
     if d < 1:
         raise DimensionError(f"need d >= 1, got {d}")
-    rng = substream(seed, index)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    g = np.empty((len(indices), 2, d, d))
+    for row, index in zip(g, indices):
+        substream(seed, index).standard_normal(out=row)
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    ph = np.diagonal(r, axis1=1, axis2=2)
+    return q * (ph / np.abs(ph))[:, None, :]
+
+
+_BLOCK = 64  # most unitaries the sampling loops draw per stacked QR
 
 
 def gaussian_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -277,3 +277,47 @@ def test_two_copy_above_desk_cap_exits_3(tmp_path, capsys, command):
         f = write(tmp_path / "big.json", {"d": 17, "coeffs": [[0.0, 0.0]] * 6})
     assert main([command, f]) == 3
     assert "desk-scale cap" in capsys.readouterr().err
+
+
+def _refuse_draw(*args, **kwargs):
+    raise AssertionError("sampling started")
+
+
+def _refuse_sampling(monkeypatch):
+    # The sample count must be refused at the command-line boundary,
+    # before the sampling routines or their random streams are reached.
+    for target in ("cli.twirl", "cli.cb_norm", "operators.substream", "norms.substream"):
+        monkeypatch.setattr(f"covmap.{target}", _refuse_draw)
+
+
+def _sampling_input(tmp_path, command):
+    if command == "twirl":
+        sup = realize_superoperator(virtual_broadcast_coefficients(3))
+        return write(tmp_path / "sup.json", matrix_to_obj(sup))
+    # bracket-branch weights: cb_norm samples a Monte-Carlo lower bound
+    c = CovariantCoefficients(3, (1, -1, 1, -1, 0, 0))
+    return write(tmp_path / "c.json", coefficients_to_obj(c))
+
+
+@pytest.mark.parametrize("command", ["twirl", "norm"])
+@pytest.mark.parametrize("samples", [2**41, 0])
+def test_samples_flag_out_of_range_exits_2_before_any_draw(
+    tmp_path, monkeypatch, capsys, command, samples
+):
+    _refuse_sampling(monkeypatch)
+    f = _sampling_input(tmp_path, command)
+    assert main([command, f, "--samples", str(samples)]) == 2
+    assert "2**40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["twirl", "norm"])
+def test_samples_config_out_of_range_exits_2_before_any_draw(
+    tmp_path, monkeypatch, capsys, command
+):
+    _refuse_sampling(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 2**41}), encoding="utf-8")
+    monkeypatch.setenv("COVMAP_CONFIG", str(cfg))
+    f = _sampling_input(tmp_path, command)
+    assert main([command, f]) == 2
+    assert "2**40" in capsys.readouterr().err

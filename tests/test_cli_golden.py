@@ -8,6 +8,13 @@ through the m-copy index kernel; a refactor that keeps them passing keeps
 the command line's output unchanged.  A different numpy or BLAS build
 may round differently in the last digit; recapture the files only for a
 change that is meant to alter the output, and say so in the change log.
+
+``twirl.json`` alone was recaptured by the commit that replaced the
+Kronecker conjugation of the twirl with the digit-axis kernel ("One
+digit-axis Haar-average kernel for both twirls"): the kernel sums in a
+different order, so ``deviation_after``, ``residual`` and the imaginary
+weight parts (all below 4e-19) moved in the last digits; the sampled
+unitaries and the real weights did not change.
 """
 
 from pathlib import Path

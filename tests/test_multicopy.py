@@ -387,3 +387,24 @@ def test_two_copy_defect_is_the_m2_view(d):
     rng = np.random.default_rng(200 + d)
     sup = rng.standard_normal((d**4, d**2)) + 1j * rng.standard_normal((d**4, d**2))
     assert covariance_deviation(sup, d, 3, 7) == covariance_residual_multi(sup, 2, d, 3, 7)
+
+
+@pytest.mark.parametrize("m,d,samples", [(2, 2, 70), (2, 3, 70), (3, 3, 40), (3, 4, 20)])
+def test_twirl_operator_matches_kron_sandwich_reference(m, d, samples):
+    # The Kronecker sandwich the digit-axis kernel replaced; the sample
+    # counts cross the block boundaries of the Haar average.
+    rng = np.random.default_rng(300 + 10 * m + d)
+    t = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
+    ref = np.zeros_like(t)
+    for k in range(samples):
+        um = reduce(np.kron, [haar_unitary(d, 8, k)] * m)
+        ref += um @ t @ um.conj().T
+    got = twirl_operator(t, m, d, samples=samples, seed=8)
+    assert np.abs(got - ref / samples).max() <= 1e-13 * np.abs(t).max()
+
+
+def test_twirl_operator_refuses_sample_count_beyond_substream_range():
+    with pytest.raises(ValueError, match="2\\*\\*40"):
+        twirl_operator(np.eye(8, dtype=complex), 3, 2, samples=2**40 + 1)
+    with pytest.raises(ValueError, match="2\\*\\*40"):
+        covariance_residual_multi(np.zeros((81, 9), dtype=complex), 2, 3, samples=2**40 + 1)

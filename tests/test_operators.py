@@ -3,7 +3,9 @@ import pytest
 
 from covmap.linalg import DimensionError, hermitian_eigenvalues, kron, operator_norm
 from covmap.operators import (
+    _BLOCK,
     Permutation,
+    _haar_unitaries,
     gaussian_hermitian,
     haar_unitary,
     matrix_unit,
@@ -178,3 +180,21 @@ def test_substream_disjoint_indices():
 def test_gaussian_hermitian_is_hermitian():
     h = gaussian_hermitian(4, substream(9))
     assert np.abs(h - h.conj().T).max() == 0.0
+
+
+def _per_index_haar(d, seed, index):
+    # The one-unitary draw that the stacked draw replaced.
+    rng = substream(seed, index)
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_haar_draw_is_bit_equal_to_per_index_draws(d):
+    indices = list(range(_BLOCK + 5)) + [2**40 - 1, 3]  # past one block, out of order
+    stacked = _haar_unitaries(d, 12, indices)
+    assert np.array_equal(stacked, np.stack([haar_unitary(d, 12, k) for k in indices]))
+    assert np.array_equal(stacked, np.stack([_per_index_haar(d, 12, k) for k in indices]))

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from covmap.linalg import vec
-from covmap.operators import matrix_unit
+from covmap.linalg import DimensionError, vec
+from covmap.operators import haar_unitary, matrix_unit
 from covmap.twirl import TwirlResult, conjugated_superoperator, covariance_deviation, twirl
 from covmap.twocopy import (
     CovariantCoefficients,
@@ -54,6 +56,14 @@ def test_single_identity_sample_returns_input():
     res = twirl(sup, 3, samples=1, seed=0, first_sample_identity=True)
     assert np.array_equal(res.averaged, sup)
     assert res.samples == 1
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_single_identity_sample_returns_complex_input(d):
+    rng = np.random.default_rng(50 + d)
+    sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+    res = twirl(sup, d, samples=1, seed=0, first_sample_identity=True)
+    assert np.array_equal(res.averaged, sup)
 
 
 def test_twirl_of_classical_copier_approaches_symmetric_average():
@@ -121,3 +131,61 @@ def test_twirl_validates_shapes():
         twirl(np.zeros((80, 9), dtype=complex), 3, samples=10, seed=0)
     with pytest.raises(ValueError):
         twirl(np.zeros((81, 9), dtype=complex), 3, samples=0, seed=0)
+
+
+def test_sample_count_beyond_substream_range_refused_up_front():
+    sup = realize_superoperator(virtual_broadcast_coefficients(3))
+    for kwargs in ({"samples": 2**40 + 1}, {"samples": 5, "deviation_samples": 2**40 + 1}):
+        with pytest.raises(ValueError, match="2\\*\\*40"):
+            twirl(sup, 3, seed=0, **kwargs)
+    with pytest.raises(ValueError, match="2\\*\\*40"):
+        covariance_deviation(sup, 3, samples=2**40 + 1)
+
+
+# Reference: the Kronecker conjugation the digit-axis kernel replaced.
+def _kron_conjugated(sup, u):
+    w = np.kron(u, u)
+    return np.kron(w.T, w.conj().T) @ sup @ np.kron(u.conj(), u)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_conjugated_superoperator_matches_kron_reference(d):
+    rng = np.random.default_rng(60 + d)
+    sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+    for k in range(3):
+        u = haar_unitary(d, 11, k)
+        got = conjugated_superoperator(sup, u)
+        assert np.abs(got - _kron_conjugated(sup, u)).max() <= 1e-14 * np.abs(sup).max()
+
+
+@pytest.mark.parametrize("d,samples", [(2, 70), (3, 50), (4, 9)])
+def test_twirl_average_matches_kron_reference_loop(d, samples):
+    # The sample counts cross the block boundaries of the Haar average.
+    rng = np.random.default_rng(70 + d)
+    sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+    ref = sum(_kron_conjugated(sup, haar_unitary(d, 3, k)) for k in range(samples)) / samples
+    got = twirl(sup, d, samples=samples, seed=3, deviation_samples=1).averaged
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(sup).max()
+
+
+def test_conjugated_superoperator_rejects_mismatched_shapes():
+    u = haar_unitary(3, 0, 0)
+    with pytest.raises(DimensionError):
+        conjugated_superoperator(np.zeros((16, 4), dtype=complex), u)
+    with pytest.raises(DimensionError):
+        conjugated_superoperator(np.zeros((81, 9), dtype=complex), u[:, :2])
+
+
+def test_conjugated_superoperator_memory_stays_near_input_size():
+    # At d = 8 a d^4 x d^4 Kronecker factor alone would take 268 MB.
+    d = 8
+    rng = np.random.default_rng(80)
+    sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+    u = haar_unitary(d, 0, 0)
+    tracemalloc.start()
+    try:
+        conjugated_superoperator(sup, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * sup.nbytes
