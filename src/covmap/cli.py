@@ -43,6 +43,10 @@ EXIT_DIMENSION = 3
 EXIT_TRACE_TERMS = 4
 EXIT_UNIQUENESS = 5
 
+# First match wins, so SchemaError and any other ValueError exit 2.
+_EXIT_CODES = ((UniquenessUnavailableError, EXIT_UNIQUENESS), (TraceTermsError, EXIT_TRACE_TERMS),
+               (DimensionError, EXIT_DIMENSION), (ValueError, EXIT_PARSE))
+
 # Config key -> accepted JSON types; bool is never accepted as a number.
 _CONFIG_TYPES = {
     "tol_abs": (int, float),
@@ -104,9 +108,7 @@ def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    except OSError as exc:
+    except (json.JSONDecodeError, OSError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
@@ -277,21 +279,9 @@ def main(argv=None) -> int:
         if args.command == "multicopy" and args.action == "apply" and args.matrix is None:
             raise SchemaError("multicopy apply needs a matrix file")
         return args.func(args)
-    except SchemaError as exc:
-        print(f"covmap: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UniquenessUnavailableError as exc:
-        print(f"covmap: {exc}", file=sys.stderr)
-        return EXIT_UNIQUENESS
-    except TraceTermsError as exc:
-        print(f"covmap: {exc}", file=sys.stderr)
-        return EXIT_TRACE_TERMS
-    except DimensionError as exc:
-        print(f"covmap: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
     except ValueError as exc:
         print(f"covmap: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

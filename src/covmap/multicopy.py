@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, operator_norm
-from .operators import _BLOCK, _check_samples, _haar_unitaries, _realize, _rows, _shaped
+from .operators import _BLOCK, _check_samples, _haar_unitaries, _realize, _rows, _shaped, _span_fit
 from .operators import enumerate_permutations
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
 
@@ -215,23 +215,9 @@ def schur_weyl_fit(t, m: int, d: int) -> SchurWeylFit:
 
 def _schur_weyl(t: np.ndarray, m: int, d: int) -> SchurWeylFit:
     """The solve behind :func:`schur_weyl_fit`, without the desk-scale cap."""
-    rows = _rows(m, d)
-    n, cols = len(rows), np.arange(d**m)
-    # P(s) has its ones at (x, r_s[x]), so <P(s), P(t)> counts the x with
-    # r_s[x] == r_t[x] and <P(s), t> sums t[x, r_s[x]].
-    gram = (rows[:, None, :] == rows[None, :, :]).sum(axis=2).astype(np.complex128)
-    rhs = t[cols, rows].sum(axis=1)
-    rank = np.linalg.matrix_rank(gram, hermitian=True)
-    if rank < n:
-        coeffs = np.linalg.pinv(gram, hermitian=True) @ rhs
-        degenerate = True
-    else:
-        coeffs = np.linalg.solve(gram, rhs)
-        degenerate = False
-    approx = np.zeros_like(t)
-    for coeff, r in zip(coeffs, rows):
-        approx[cols, r] += coeff
-    return SchurWeylFit(coeffs, frobenius_norm(t - approx), degenerate)
+    positions = np.arange(d**m) * d**m + _rows(m, d)  # P(s) has its ones at (x, r_s[x])
+    coeffs, approx, degenerate = _span_fit(t.reshape(-1), positions)
+    return SchurWeylFit(coeffs, frobenius_norm(t - approx.reshape(t.shape)), degenerate)
 
 
 def from_two_copy(c: CovariantCoefficients) -> MultiCopyCoefficients:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, operator_norm
-from .operators import _check_samples, gaussian_hermitian, haar_unitary, substream
+from .operators import _BLOCK, _check_samples, _haar_unitaries, gaussian_hermitian, substream
 from .twocopy import CovariantCoefficients, apply_map
 
 __all__ = [
@@ -91,16 +91,15 @@ def monte_carlo_norm(
     _check_samples(samples)
     d = c.d
     best = operator_norm(apply_map(c, np.eye(d)))
-    for k in range(1, samples):
-        if k % 2 == 1:
-            x = haar_unitary(d, seed, k)
-        else:
+    for start in range(1, samples, 2 * _BLOCK):  # Haar at odd k, Gaussian at even k
+        ks = range(start, min(start + 2 * _BLOCK, samples))
+        probes = list(_haar_unitaries(d, seed, ks[::2]))
+        for k in ks[1::2]:
             h = gaussian_hermitian(d, substream(seed, k, stream=1))
             nrm = operator_norm(h)
-            if nrm == 0.0:
-                continue
-            x = h / nrm
-        best = max(best, operator_norm(apply_map(c, x)))
+            if nrm != 0.0:
+                probes.append(h / nrm)
+        best = max([best] + [operator_norm(apply_map(c, x)) for x in probes])
     return float(best)
 
 

@@ -13,7 +13,8 @@ columns, so the image of E_ab is column (b-1) d + (a-1) and its entry
 (x, c) is row c d^m + x; the covariant maps into m copies, the two-copy
 family being m = 2, are therefore realized, extracted and fitted by
 scattering and gathering single entries instead of multiplying by dense
-permutations.
+permutations, and least squares over a span of such 0/1 elements is one
+exact Gram solve over their positions (``_span_fit``).
 
 Cache: the row indices and the scatter positions of the generators depend
 on (m, d) alone.  Each (m, d) is built on first use and kept for the life
@@ -144,11 +145,7 @@ def swap_operator(d: int) -> np.ndarray:
     """Exchange of the two factors of C^d (x) C^d."""
     if d < 2:
         raise DimensionError(f"swap needs d >= 2, got {d}")
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
-    return s
+    return permutation_operator(Permutation((2, 1)), d)
 
 
 def sym_projector(d: int, sign: int = +1) -> np.ndarray:
@@ -215,7 +212,8 @@ def _scatter(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (hits, flat) over the joint support of the unpermuted
     generators: hits[u, j] is True when F_(j+1) has a one at entry u, and
     flat[i, u] is the flat index of entry u in the d^(2m) x d^2 matrix once
-    permutation i has moved its rows.
+    permutation i has moved its rows.  The support is sorted, so every
+    generator meets its ones in (output column, input digit) order.
     """
     dim, dd = d**m, d * d
     c = np.arange(dim)[:, None]
@@ -254,6 +252,29 @@ def _realize(lam: np.ndarray, m: int, d: int) -> np.ndarray:
     for positions, values in zip(flat, inner):
         out[positions] += values
     return out.reshape(d ** (2 * m), d * d)
+
+
+def _span_fit(target: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Least-squares weights of a flat array over basis elements of ones.
+
+    positions[k, x] is the flat index of the x-th one of element k, ordered
+    so that two elements share a one only at the same x (slot row x, or
+    output column and input digit).  The Gram matrix counts those matches,
+    so it is exact; a singular (degenerate) one gives the least-norm
+    weights.  Returns (weights, flat projection, degenerate).
+    """
+    n = len(positions)
+    gram = (positions[:, None, :] == positions[None, :, :]).sum(axis=2)
+    rhs = target[positions].sum(axis=1)
+    degenerate = bool(np.linalg.matrix_rank(gram, hermitian=True) < n)
+    if degenerate:
+        weights = np.linalg.pinv(gram, hermitian=True) @ rhs
+    else:
+        weights = np.linalg.solve(gram, rhs)
+    projection = np.zeros_like(target)
+    for weight, ones in zip(weights, positions):
+        projection[ones] += weight
+    return weights, projection, degenerate
 
 
 def substream(seed: int, index: int = 0, stream: int = 0) -> np.random.Generator:

@@ -87,6 +87,16 @@ def _int_field(obj, key: str) -> int:
     return v
 
 
+def _schema_checked(build):
+    """build(), with a plain ValueError from its validation as a SchemaError."""
+    try:
+        return build()
+    except (SchemaError, DimensionError):
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def matrix_to_obj(a) -> dict:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
@@ -119,12 +129,7 @@ def coefficients_from_obj(obj) -> CovariantCoefficients:
     coeffs = _require(obj, "coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 6:
         raise SchemaError("coeffs must hold exactly 6 entries")
-    try:
-        return CovariantCoefficients(d, tuple(_unpair(p) for p in coeffs))
-    except ValueError as exc:
-        if isinstance(exc, (SchemaError, DimensionError)):
-            raise
-        raise SchemaError(str(exc)) from exc
+    return _schema_checked(lambda: CovariantCoefficients(d, tuple(_unpair(p) for p in coeffs)))
 
 
 def multicopy_to_obj(mc: MultiCopyCoefficients) -> dict:
@@ -141,13 +146,8 @@ def multicopy_from_obj(obj) -> MultiCopyCoefficients:
     lam = _require(obj, "lam")
     if not isinstance(lam, list) or not all(isinstance(r, list) for r in lam):
         raise SchemaError("lam must be a list of rows")
-    try:
-        table = np.array([[_unpair(p) for p in row] for row in lam], dtype=np.complex128)
-        return MultiCopyCoefficients(m, d, table)
-    except ValueError as exc:
-        if isinstance(exc, (SchemaError, DimensionError)):
-            raise
-        raise SchemaError(str(exc)) from exc
+    rows = [[_unpair(p) for p in row] for row in lam]
+    return _schema_checked(lambda: MultiCopyCoefficients(m, d, np.array(rows, dtype=np.complex128)))
 
 
 def permutation_to_obj(p: Permutation) -> dict:
@@ -161,10 +161,7 @@ def permutation_from_obj(obj) -> Permutation:
         raise SchemaError(f"image must hold {m} entries")
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in image):
         raise SchemaError("image entries must be integers")
-    try:
-        return Permutation(tuple(image))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _schema_checked(lambda: Permutation(tuple(image)))
 
 
 def _evidence_obj(evidence: dict) -> dict:

@@ -19,7 +19,8 @@ ambiguity by projecting onto the orthogonal complement of g.
 The family is the m = 2 view of the m-copy index kernel in
 :mod:`covmap.operators`: the six weights fill the table of the identity
 and swap permutations, [[c5, c2, c1], [c6, c4, c3]], and realize, the
-generator basis and the Choi matrix all come from that table's scatter.
+generator basis and the Choi matrix all come from that table's scatter;
+the least-squares fit solves over the same generator positions.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, operator_norm, unvec, vec
-from .operators import _realize, _shaped, swap_operator
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, operator_norm, unvec
+from .operators import _realize, _rows, _scatter, _shaped, _span_fit
 
 __all__ = [
     "GAUGE_DIRECTION",
@@ -93,13 +94,14 @@ def apply_map(c: CovariantCoefficients, x) -> np.ndarray:
     d = c.d
     x = _shaped(x, d, kind="input")
     eye = np.eye(d, dtype=np.complex128)
-    s = swap_operator(d)
+    eye2 = np.eye(d * d, dtype=np.complex128)
+    r = _rows(2, d)[1]  # S @ A == A[r]
     ix = np.kron(eye, x)
     xi = np.kron(x, eye)
     t = np.trace(x)
     c1, c2, c3, c4, c5, c6 = c.coeffs
-    out = c1 * ix + c2 * xi + c3 * (s @ ix) + c4 * (s @ xi)
-    out += (c5 * t) * np.eye(d * d, dtype=np.complex128) + (c6 * t) * s
+    out = c1 * ix + c2 * xi + c3 * ix[r] + c4 * xi[r]
+    out += (c5 * t) * eye2 + (c6 * t) * eye2[r]
     return out
 
 
@@ -159,14 +161,17 @@ def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoe
 def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
     """Least-squares projection onto the six generators.
 
-    Works at every d >= 2.  At d = 2 the minimum-norm solution is
-    automatically orthogonal to the gauge direction; gauge_reduce is still
-    applied to scrub floating-point dust.  Returns (coefficients,
-    operator-norm residual).
+    One exact Gram solve over the generator positions; works at every
+    d >= 2.  At d = 2 the Gram matrix is singular along the gauge direction
+    and the least-norm solution is orthogonal to it; gauge_reduce still
+    scrubs floating-point dust.  Returns (coefficients, operator-norm residual).
     """
     superop = _shaped(superop, d)
-    basis = np.stack([vec(b) for b in basis_superoperators(d)], axis=1)
-    sol, *_ = np.linalg.lstsq(basis, vec(superop), rcond=None)
+    hits, flat = _scatter(2, d)
+    # Weight k sits at table entry (i, j); its generator's ones are flat[i, hits[:, j]].
+    table = zip(*np.unravel_index(_UNTABLE, _TABLE.shape))
+    positions = np.stack([flat[i, hits[:, j]] for i, j in table])
+    sol, _, _ = _span_fit(superop.reshape(-1), positions)
     c = gauge_reduce(CovariantCoefficients(d, tuple(sol)))
     residual = operator_norm(superop - realize_superoperator(c))
     return c, residual

@@ -20,7 +20,7 @@ from covmap.multicopy import (
 )
 from covmap.twirl import covariance_deviation, twirl_operator
 from covmap.classify import commutant_fit
-from covmap.operators import Permutation, haar_unitary, matrix_unit, permutation_operator
+from covmap.operators import Permutation, _scatter, haar_unitary, matrix_unit, permutation_operator
 from covmap.twocopy import (
     CovariantCoefficients,
     apply_map,
@@ -380,6 +380,20 @@ def test_kernel_matches_loop_references(m, d):
         noisy = sup + 1e-3 * rng.standard_normal(sup.shape)
         got = covariance_residual_multi(noisy, m, d, samples=2, seed=5)
         assert got == pytest.approx(_loop_defect(noisy, m, d, 2, 5), rel=1e-12)
+
+
+@pytest.mark.parametrize("m,d", KERNEL_SHAPES)
+def test_generator_positions_meet_the_span_fit_order(m, d):
+    # _span_fit counts shared ones column by column, which is exact when a
+    # position recurs only in one column and never twice in one generator.
+    hits, flat = _scatter(m, d)
+    positions = np.stack([flat[i, hits[:, j]] for i in range(len(flat)) for j in range(m + 1)])
+    support, inverse = np.unique(positions, return_inverse=True)
+    column = np.broadcast_to(np.arange(positions.shape[1]), positions.shape)
+    seen = np.empty(support.size, dtype=np.intp)
+    seen[inverse.reshape(-1)] = column.reshape(-1)
+    assert np.array_equal(seen[inverse.reshape(positions.shape)], column)
+    assert all(np.unique(row).size == row.size for row in positions)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covmap import norms
 from covmap.linalg import Tolerance, operator_norm
 from covmap.norms import (
     CbNormResult,
@@ -11,7 +12,7 @@ from covmap.norms import (
     monte_carlo_norm,
     psi_identity_norm,
 )
-from covmap.operators import haar_unitary, swap_operator
+from covmap.operators import _BLOCK, gaussian_hermitian, haar_unitary, substream, swap_operator
 from covmap.twocopy import CovariantCoefficients, apply_map, virtual_broadcast_coefficients
 
 
@@ -146,6 +147,40 @@ def test_monte_carlo_norm_known_values():
     val = monte_carlo_norm(virtual_broadcast_coefficients(3), samples=200, seed=1)
     assert 1.0 <= val <= 1.0 + 1e-9
     assert monte_carlo_norm(CovariantCoefficients(3, (0, 0, 0, 0, 0, 0)), samples=20, seed=0) == 0.0
+
+
+def _probe_loop_norm(c, samples, seed):
+    # One haar_unitary call per odd probe, as before the stacked draws.
+    best = operator_norm(norms.apply_map(c, np.eye(c.d)))
+    for k in range(1, samples):
+        if k % 2 == 1:
+            x = haar_unitary(c.d, seed, k)
+        else:
+            h = gaussian_hermitian(c.d, substream(seed, k, stream=1))
+            x = h / operator_norm(h)
+        best = max(best, operator_norm(norms.apply_map(c, x)))
+    return float(best)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_monte_carlo_norm_is_bit_equal_to_per_probe_draws(d, monkeypatch):
+    rng = np.random.default_rng(40 + d)
+    weights = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    c = CovariantCoefficients(d, (*weights, 0, 0))
+    samples = 2 * _BLOCK + 7  # crosses two draw blocks and ends on a partial one
+    assert monte_carlo_norm(c, samples, 11) == _probe_loop_norm(c, samples, 11)
+    probed = []  # every probe, bit for bit, whatever the order
+
+    def recording_apply(c, x):
+        probed.append(x.tobytes())
+        return apply_map(c, x)
+
+    monkeypatch.setattr(norms, "apply_map", recording_apply)
+    monte_carlo_norm(c, samples, 11)
+    batched = sorted(probed)
+    probed.clear()
+    _probe_loop_norm(c, samples, 11)
+    assert batched == sorted(probed) and len(batched) == samples
 
 
 def test_monte_carlo_norm_deterministic():

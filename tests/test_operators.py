@@ -45,6 +45,16 @@ def test_swap_spectrum_multiplicities():
         assert np.sum(np.isclose(ev, -1.0)) == d * (d - 1) // 2
 
 
+def test_swap_matches_double_loop_reference():
+    for d in range(2, 9):
+        ref = np.zeros((d * d, d * d), dtype=np.complex128)
+        for i in range(d):
+            for j in range(d):
+                ref[j * d + i, i * d + j] = 1.0
+        got = swap_operator(d)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 def test_swap_rejects_small_d():
     with pytest.raises(DimensionError):
         swap_operator(1)

@@ -75,6 +75,22 @@ def test_apply_trace_relation():
         assert abs(np.trace(apply_map(c, x)) - factor * np.trace(x)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_apply_matches_dense_swap_products(d):
+    # The closed form with S built densely and multiplied in, as before
+    # apply_map gathered rows instead.
+    rng = np.random.default_rng(600 + d)
+    c = _random_coeffs(rng, d)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    s = swap_operator(d)
+    eye = np.eye(d, dtype=np.complex128)
+    ix, xi, t = np.kron(eye, x), np.kron(x, eye), np.trace(x)
+    c1, c2, c3, c4, c5, c6 = c.coeffs
+    want = c1 * ix + c2 * xi + c3 * (s @ ix) + c4 * (s @ xi)
+    want += (c5 * t) * np.eye(d * d, dtype=np.complex128) + (c6 * t) * s
+    assert apply_map(c, x).tobytes() == want.tobytes()
+
+
 def test_apply_shape_mismatch():
     with pytest.raises(DimensionError):
         apply_map(virtual_broadcast_coefficients(2), np.eye(3))
@@ -171,6 +187,29 @@ def test_fit_returns_gauge_reduced_at_d2():
     assert abs(np.vdot(GAUGE_DIRECTION, got.as_array())) < 1e-12
     expected = gauge_reduce(c)
     assert np.abs(got.as_array() - expected.as_array()).max() < 1e-12
+
+
+def _dense_lstsq_fit(superop, d):
+    # The dense route fit_coefficients replaced: lstsq over the stacked basis.
+    basis = np.stack([vec(b) for b in basis_superoperators(d)], axis=1)
+    sol, *_ = np.linalg.lstsq(basis, vec(superop), rcond=None)
+    return gauge_reduce(CovariantCoefficients(d, tuple(sol)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_fit_matches_dense_lstsq_reference(d):
+    rng = np.random.default_rng(500 + d)
+    covariant = realize_superoperator(_random_coeffs(rng, d))
+    noise = rng.standard_normal(covariant.shape) + 1j * rng.standard_normal(covariant.shape)
+    for superop in (covariant, covariant + 0.3 * noise):
+        got, residual = fit_coefficients(superop, d)
+        want = _dense_lstsq_fit(superop, d)
+        scale = want.max_magnitude()
+        assert np.abs(got.as_array() - want.as_array()).max() <= 1e-12 * scale
+        want_residual = operator_norm(superop - realize_superoperator(want))
+        assert residual == pytest.approx(want_residual, rel=1e-12, abs=1e-12 * scale)
+        if d == 2:
+            assert abs(np.vdot(GAUGE_DIRECTION, got.as_array())) <= 1e-12 * scale
 
 
 def test_basis_superoperators_span_realization():
