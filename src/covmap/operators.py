@@ -277,17 +277,41 @@ def _span_fit(target: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np
     return weights, projection, degenerate
 
 
+def _key(seed: int, index: int, stream: int) -> np.ndarray:
+    """Philox key of the substream (seed, index, stream)."""
+    if index < 0 or index >= 1 << 40:
+        raise ValueError(f"substream index {index} out of range")
+    word = ((stream & 0xFFFFFF) << 40) | index
+    return np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
+
+
 def substream(seed: int, index: int = 0, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream, index).
 
     Distinct triples give statistically independent streams, so sampling
     loops can address sample k directly without drawing k-1 predecessors.
     """
-    if index < 0 or index >= 1 << 40:
-        raise ValueError(f"substream index {index} out of range")
-    word = ((stream & 0xFFFFFF) << 40) | index
-    key = np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, index, stream)))
+
+
+def _normals(seed: int, indices, stream: int, shape: tuple[int, ...]) -> np.ndarray:
+    """substream(seed, k, stream).standard_normal(shape) for each k in indices, stacked.
+
+    One Philox is rekeyed per index, at counter 0 with an empty buffer, as
+    a fresh one starts; a Philox built from a key alone would first seed
+    itself from OS entropy and then discard it.
+    """
+    out = np.empty((len(indices), *shape))
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"]["counter"][:] = 0
+    for row, index in zip(out, indices):
+        state["state"]["key"] = _key(seed, index, stream)
+        bitgen.state = state
+        rng.standard_normal(out=row)
+    return out
 
 
 def _check_samples(*counts: int) -> None:
@@ -310,9 +334,7 @@ def _haar_unitaries(d: int, seed: int, indices) -> np.ndarray:
     """haar_unitary(d, seed, k) for each k in indices, stacked; one stacked QR."""
     if d < 1:
         raise DimensionError(f"need d >= 1, got {d}")
-    g = np.empty((len(indices), 2, d, d))
-    for row, index in zip(g, indices):
-        substream(seed, index).standard_normal(out=row)
+    g = _normals(seed, indices, 0, (2, d, d))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
     ph = np.diagonal(r, axis1=1, axis2=2)
     return q * (ph / np.abs(ph))[:, None, :]

@@ -15,6 +15,12 @@ digit-axis Haar-average kernel for both twirls"): the kernel sums in a
 different order, so ``deviation_after``, ``residual`` and the imaginary
 weight parts (all below 4e-19) moved in the last digits; the sampled
 unitaries and the real weights did not change.
+
+``norm-bracket.json`` alone was recaptured by the commit that reads each
+Monte-Carlo probe's image norm from its eigenvalues instead of from an SVD
+of the dense image ("Monte-Carlo cb-norm probes read from their spectra"):
+the probes are unchanged, and only ``value.lower`` moved in the last digit,
+3.99999957877573 -> 3.999999578775729.
 """
 
 from pathlib import Path

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covmap import norms
 from covmap.linalg import Tolerance, operator_norm
@@ -150,16 +152,24 @@ def test_monte_carlo_norm_known_values():
 
 
 def _probe_loop_norm(c, samples, seed):
-    # One haar_unitary call per odd probe, as before the stacked draws.
-    best = operator_norm(norms.apply_map(c, np.eye(c.d)))
+    # Dense reference: one haar_unitary call per odd probe and one
+    # d^2 x d^2 image and SVD per probe.
+    best = operator_norm(apply_map(c, np.eye(c.d)))
     for k in range(1, samples):
         if k % 2 == 1:
             x = haar_unitary(c.d, seed, k)
         else:
             h = gaussian_hermitian(c.d, substream(seed, k, stream=1))
             x = h / operator_norm(h)
-        best = max(best, operator_norm(norms.apply_map(c, x)))
+        best = max(best, operator_norm(apply_map(c, x)))
     return float(best)
+
+
+def _spectral_bound(c):
+    # The spectral evaluation rounds differently from the dense image and
+    # its SVD; 64 eps per unit of sum|c_k| covers both eigensolvers and the
+    # block norms for probes of norm at most one.
+    return 64 * np.finfo(float).eps * np.abs(c.as_array()).sum()
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -168,19 +178,76 @@ def test_monte_carlo_norm_is_bit_equal_to_per_probe_draws(d, monkeypatch):
     weights = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     c = CovariantCoefficients(d, (*weights, 0, 0))
     samples = 2 * _BLOCK + 7  # crosses two draw blocks and ends on a partial one
-    assert monte_carlo_norm(c, samples, 11) == _probe_loop_norm(c, samples, 11)
-    probed = []  # every probe, bit for bit, whatever the order
+    value = monte_carlo_norm(c, samples, 11)
+    assert abs(value - _probe_loop_norm(c, samples, 11)) <= _spectral_bound(c)
+    drawn = []  # every probe before normalization, bit for bit, whatever the order
+    probes = norms._probes
 
-    def recording_apply(c, x):
-        probed.append(x.tobytes())
-        return apply_map(c, x)
+    def recording_probes(d, seed, ks):
+        us, hs = probes(d, seed, ks)
+        assert len(us) + len(hs) <= 2 * _BLOCK
+        drawn.extend(x.tobytes() for x in (*us, *hs))
+        return us, hs
 
-    monkeypatch.setattr(norms, "apply_map", recording_apply)
-    monte_carlo_norm(c, samples, 11)
-    batched = sorted(probed)
-    probed.clear()
-    _probe_loop_norm(c, samples, 11)
-    assert batched == sorted(probed) and len(batched) == samples
+    monkeypatch.setattr(norms, "_probes", recording_probes)
+    assert monte_carlo_norm(c, samples, 11) == value
+    per_probe = [
+        haar_unitary(d, 11, k) if k % 2 == 1 else gaussian_hermitian(d, substream(11, k, stream=1))
+        for k in range(1, samples)
+    ]
+    assert sorted(drawn) == sorted(x.tobytes() for x in per_probe)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 16])
+def test_monte_carlo_norm_matches_dense_probe_loop(d):
+    rng = np.random.default_rng(70 + d)
+    samples = 2 * _BLOCK + 7 if d <= 6 else 7  # one d = 16 image SVD takes about 50 ms
+    for weights in (rng.standard_normal(4) + 1j * rng.standard_normal(4), (1, 1, -0.5, -0.5)):
+        c = CovariantCoefficients(d, (*weights, 0, 0))
+        got = monte_carlo_norm(c, samples, 3)
+        assert abs(got - _probe_loop_norm(c, samples, 3)) <= _spectral_bound(c)
+
+
+def _normal_probe(rng, d, spectrum):
+    """A normal d x d matrix of the given spectrum kind, and its eigenvalues."""
+    if spectrum == "haar":
+        x = haar_unitary(d, int(rng.integers(2**31)))
+        return x, np.linalg.eigvals(x)
+    if spectrum == "zero":
+        return np.zeros((d, d), dtype=complex), np.zeros(d)
+    values = {
+        "repeated": [-1.0, -0.25, 0.5, 1.0], "signs": [-1.0, 1.0], "signs-and-zero": [-1.0, 0.0, 1.0],
+    }
+    lam = rng.choice(values[spectrum], size=d)
+    if spectrum == "repeated":
+        lam[1] = lam[0]
+    v = haar_unitary(d, int(rng.integers(2**31)))
+    x = (v * lam) @ v.conj().T
+    x = (x + x.conj().T) / 2
+    return x, np.linalg.eigvalsh(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=8),
+    st.sampled_from(["haar", "repeated", "signs", "signs-and-zero", "zero"]),
+    st.sampled_from(["random", "swap-symmetric", "broadcast", "swap-phases"]),
+)
+def test_spectral_norm_equals_dense_image_norm(seed, d, spectrum, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "broadcast":
+        c = virtual_broadcast_coefficients(d)
+    else:
+        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        if kind == "swap-symmetric":
+            w[1], w[3] = w[0], w[2]
+        if kind == "swap-phases":  # both singular values of each block meet for real spectra
+            w = np.array([0, 0, *np.exp(2j * np.pi * rng.random(2))])
+        c = CovariantCoefficients(d, (*w, 0, 0))
+    x, lam = _normal_probe(rng, d, spectrum)
+    got = norms._spectral_norms(c, lam[None, :])[0]
+    assert abs(got - operator_norm(apply_map(c, x))) <= _spectral_bound(c)
 
 
 def test_monte_carlo_norm_deterministic():

@@ -6,6 +6,7 @@ from covmap.operators import (
     _BLOCK,
     Permutation,
     _haar_unitaries,
+    _normals,
     gaussian_hermitian,
     haar_unitary,
     matrix_unit,
@@ -190,6 +191,21 @@ def test_substream_disjoint_indices():
 def test_gaussian_hermitian_is_hermitian():
     h = gaussian_hermitian(4, substream(9))
     assert np.abs(h - h.conj().T).max() == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 12, 2**63 + 5, -7])
+@pytest.mark.parametrize("stream", [0, 1])
+def test_stacked_normals_are_bit_equal_to_substream_draws(seed, stream):
+    indices = list(range(_BLOCK + 5)) + [2**40 - 1, 3]  # past one block, out of order
+    stacked = _normals(seed, indices, stream, (2, 3, 3))
+    per_index = [substream(seed, k, stream).standard_normal((2, 3, 3)) for k in indices]
+    assert stacked.tobytes() == np.stack(per_index).tobytes()
+
+
+def test_stacked_normals_refuse_index_outside_substream_range():
+    for index in (-1, 2**40):
+        with pytest.raises(ValueError):
+            _normals(0, [index], 0, (2,))
 
 
 def _per_index_haar(d, seed, index):
