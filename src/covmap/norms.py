@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, operator_norm
-from .operators import _BLOCK, _check_samples, _haar_unitaries, _normals
+from .operators import _BLOCK, _check_samples, _gaussian_hermitians, _haar_unitaries
 from .twocopy import CovariantCoefficients, apply_map
 
 __all__ = [
@@ -111,9 +111,7 @@ def _probes(d: int, seed: int, ks: range) -> tuple[np.ndarray, np.ndarray]:
     Returns the stacked haar_unitary(d, seed, k) for odd k and the stacked
     gaussian_hermitian(d, substream(seed, k, stream=1)) for even k.
     """
-    g = _normals(seed, ks[1::2], 1, (2, d, d))
-    z = g[:, 0] + 1j * g[:, 1]
-    return _haar_unitaries(d, seed, ks[::2]), (z + z.conj().transpose(0, 2, 1)) / 2
+    return _haar_unitaries(d, seed, ks[::2]), _gaussian_hermitians(d, seed, ks[1::2])
 
 
 def monte_carlo_norm(

@@ -340,6 +340,13 @@ def _haar_unitaries(d: int, seed: int, indices) -> np.ndarray:
     return q * (ph / np.abs(ph))[:, None, :]
 
 
+def _gaussian_hermitians(d: int, seed: int, indices) -> np.ndarray:
+    """gaussian_hermitian(d, substream(seed, k, stream=1)) for each k in indices, stacked."""
+    g = _normals(seed, indices, 1, (2, d, d))
+    z = g[:, 0] + 1j * g[:, 1]
+    return (z + z.conj().transpose(0, 2, 1)) / 2
+
+
 _BLOCK = 64  # most unitaries the sampling loops draw per stacked QR
 
 

@@ -93,15 +93,11 @@ def apply_map(c: CovariantCoefficients, x) -> np.ndarray:
     """Image of the d x d matrix ``x``, a d^2 x d^2 matrix."""
     d = c.d
     x = _shaped(x, d, kind="input")
+    eye = np.eye(d, dtype=np.complex128)
     eye2 = np.eye(d * d, dtype=np.complex128)
     r = _rows(2, d)[1]  # S @ A == A[r]
-    # Entry (a d + b, c d + e) of I (x) X is [a == c] x[b, e], of X (x) I is x[a, c] [b == e].
-    ix = np.zeros((d, d, d, d), dtype=np.complex128)
-    xi = np.zeros((d, d, d, d), dtype=np.complex128)
-    diag = np.arange(d)
-    ix[diag, :, diag, :] = x
-    xi[:, diag, :, diag] = x
-    ix, xi = ix.reshape(d * d, d * d), xi.reshape(d * d, d * d)
+    ix = np.kron(eye, x)
+    xi = np.kron(x, eye)
     t = np.trace(x)
     c1, c2, c3, c4, c5, c6 = c.coeffs
     out = c1 * ix + c2 * xi + c3 * ix[r] + c4 * xi[r]

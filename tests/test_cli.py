@@ -286,7 +286,7 @@ def _refuse_draw(*args, **kwargs):
 def _refuse_sampling(monkeypatch):
     # The sample count must be refused at the command-line boundary,
     # before the sampling routines or their random streams are reached.
-    for target in ("cli.twirl", "cli.cb_norm", "operators._normals", "norms._normals"):
+    for target in ("cli.twirl", "cli.cb_norm", "operators._normals"):
         monkeypatch.setattr(f"covmap.{target}", _refuse_draw)
 
 

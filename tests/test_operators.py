@@ -5,6 +5,7 @@ from covmap.linalg import DimensionError, hermitian_eigenvalues, kron, operator_
 from covmap.operators import (
     _BLOCK,
     Permutation,
+    _gaussian_hermitians,
     _haar_unitaries,
     _normals,
     gaussian_hermitian,
@@ -199,6 +200,14 @@ def test_stacked_normals_are_bit_equal_to_substream_draws(seed, stream):
     indices = list(range(_BLOCK + 5)) + [2**40 - 1, 3]  # past one block, out of order
     stacked = _normals(seed, indices, stream, (2, 3, 3))
     per_index = [substream(seed, k, stream).standard_normal((2, 3, 3)) for k in indices]
+    assert stacked.tobytes() == np.stack(per_index).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_gaussian_hermitians_are_bit_equal_to_per_index_draws(d):
+    indices = [0, 7, _BLOCK + 2, 4]
+    stacked = _gaussian_hermitians(d, 21, indices)
+    per_index = [gaussian_hermitian(d, substream(21, k, stream=1)) for k in indices]
     assert stacked.tobytes() == np.stack(per_index).tobytes()
 
 
