@@ -1,11 +1,11 @@
 """Structural verdicts for two-copy covariant maps.
 
-Every predicate takes the coefficient vector, not a realized matrix, so
-checks are closed-form where a closed form exists.  The complete-positivity
-check falls back to a numerical test on the block matrix of matrix-unit
-images when trace terms are present; the verdict is then tagged
-``numerical-only`` because no closed criterion is implemented for that
-family.
+Every verdict is a function of the six weights and d alone: no image,
+superoperator or Choi matrix is realized.  With trace terms present the
+complete-positivity verdict is an eigenvalue test at tolerance on the Choi
+spectrum, read in closed form from one 2 x 2 block and the trace-sector
+weights; it is tagged ``numerical-only`` because it is not a closed
+inequality in the weights.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, as_matrix, is_psd, operator_norm
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, as_matrix, operator_norm
 from .multicopy import _schur_weyl
-from .operators import _shaped, matrix_unit
+from .operators import _shaped
 from .twocopy import (
     CovariantCoefficients,
-    apply_map,
-    choi_matrix,
     gauge_reduce,
     maps_equal,
     virtual_broadcast_coefficients,
@@ -43,16 +41,6 @@ __all__ = [
 ]
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """Spanning set of Hermitian matrices: diagonal units plus X/Y pairs."""
-    out = [matrix_unit(i, i, d) for i in range(1, d + 1)]
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            out.append(matrix_unit(i, j, d) + matrix_unit(j, i, d))
-            out.append(1j * (matrix_unit(i, j, d) - matrix_unit(j, i, d)))
-    return out
-
-
 def _self_adjoint_violation(c: CovariantCoefficients) -> float:
     c1, c2, c3, c4, c5, c6 = c.coeffs
     return max(
@@ -67,21 +55,14 @@ def _self_adjoint_violation(c: CovariantCoefficients) -> float:
 def is_self_adjoint(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the realized map sends Hermitian matrices to Hermitian ones.
 
-    For d >= 3 this is exactly: c1, c2, c5, c6 real and c4 = conj(c3).
-    For d = 2 the test runs on the gauge-reduced representative, and any
-    vector whose realized map is Hermitian-preserving on a spanning set is
-    accepted as well.
+    Exactly when the gauge-reduced weights have c1, c2, c5, c6 real and
+    c4 = conj(c3).  At d = 2 the reduction loses nothing: such vectors form
+    a real subspace containing the real gauge direction g, and every
+    representative of a self-adjoint map differs from one of them by a
+    complex multiple of g, which gauge_reduce removes.
     """
     thr = tol.bound(max(1.0, c.max_magnitude()))
-    if _self_adjoint_violation(gauge_reduce(c)) <= thr:
-        return True
-    if c.d == 2:
-        dev = max(
-            operator_norm(apply_map(c, x) - apply_map(c, x).conj().T)
-            for x in _hermitian_basis(2)
-        )
-        return dev <= thr
-    return False
+    return bool(_self_adjoint_violation(gauge_reduce(c)) <= thr)
 
 
 def _real_normal_form(c: CovariantCoefficients):
@@ -90,6 +71,30 @@ def _real_normal_form(c: CovariantCoefficients):
     c1, c2, c3, c4, c5, c6 = g.coeffs
     m3 = (c3 + np.conj(c4)) / 2
     return c1.real, c2.real, complex(m3), c5.real, c6.real
+
+
+def _trace_sector(m5: float, m6: float, d: int) -> list[float]:
+    """Weights m5 + m6 and, for d >= 3 only, m5 - m6 of the trace sector."""
+    return [m5 + m6, m5 - m6] if d >= 3 else [m5 + m6]
+
+
+def _choi_spectrum(c: CovariantCoefficients) -> np.ndarray:
+    """Distinct eigenvalues of the Hermitian part of the Choi matrix.
+
+    The Choi matrix commutes with conj(U) (x) U (x) U, so it lies in the
+    walled Brauer algebra B_{2,1}(d).  The vectors sum_k |k, k, v> and
+    sum_k |k, v, k> span two copies of C^d with Gram matrix
+    G = [[d, 1], [1, d]]; there the matrix acts as R K R + T with R = G^1/2,
+    K = [[m2, m3], [conj m3, m1]] and T = [[m5, m6], [m6, m5]].  The rest
+    of the spectrum is the trace sector.
+    """
+    m1, m2, m3, m5, m6 = _real_normal_form(c)
+    a, b = np.sqrt(c.d + 1), np.sqrt(c.d - 1)
+    r = np.array([[a + b, a - b], [a - b, a + b]]) / 2
+    k = np.array([[m2, m3], [np.conj(m3), m1]], dtype=np.complex128)
+    t = np.array([[m5, m6], [m6, m5]])
+    block = np.linalg.eigvalsh(r @ k @ r + t)
+    return np.concatenate([block, _trace_sector(m5, m6, c.d)])
 
 
 def positivity_margin(c: CovariantCoefficients) -> float:
@@ -105,11 +110,7 @@ def positivity_margin(c: CovariantCoefficients) -> float:
         [[m1 + m5, np.conj(m3) + m6], [m3 + m6, m2 + m5]], dtype=np.complex128
     )
     block_min = float(np.linalg.eigvalsh(block)[0])
-    if c.d >= 3:
-        tail = m5 - abs(m6)
-    else:
-        tail = m5 + m6
-    return float(min(total, block_min, tail))
+    return float(min(total, block_min, *_trace_sector(m5, m6, c.d)))
 
 
 def is_positive(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -130,9 +131,10 @@ class CpResult:
     """Complete-positivity verdict.
 
     status is "yes"/"no" when the closed trace-free criterion applies and
-    "numerical-only" otherwise; is_cp always carries the boolean outcome,
-    witness the binding slack (criterion margin or smallest block-matrix
-    eigenvalue).
+    "numerical-only" otherwise: an eigenvalue test at tolerance, not a
+    closed inequality in the weights.  is_cp always carries the boolean
+    outcome, witness the binding slack (criterion margin or smallest
+    eigenvalue of the Hermitian part of the Choi matrix).
     """
 
     status: str
@@ -144,9 +146,9 @@ def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
     """Complete positivity: closed criterion when trace terms vanish.
 
     Trace-free family: c1 >= 0, c2 >= 0, c4 = conj(c3) and
-    c1 * c2 >= |c3|^2.  With trace terms present the verdict comes from a
-    PSD test on the block matrix of matrix-unit images and is tagged
-    numerical-only.
+    c1 * c2 >= |c3|^2.  With trace terms present the map is CP when it is
+    self-adjoint and the smallest Choi eigenvalue (see _choi_spectrum) is
+    at least -tol.bound(largest |eigenvalue|); tagged numerical-only.
     """
     c1, c2, c3, c4, c5, c6 = c.coeffs
     scale = max(1.0, c.max_magnitude())
@@ -163,10 +165,10 @@ def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
         det = c1.real * c2.real - abs(c3) ** 2
         ok = linear >= -thr and det >= -tol.bound(scale**2)
         return CpResult("yes" if ok else "no", ok, float(min(linear, det)))
-    choi = choi_matrix(c)
-    herm = (choi + choi.conj().T) / 2
-    witness = float(np.linalg.eigvalsh(herm)[0])
-    return CpResult("numerical-only", is_psd(choi, tol), witness)
+    spectrum = _choi_spectrum(c)
+    witness = float(spectrum.min())
+    ok = is_self_adjoint(c, tol) and witness >= -tol.bound(np.abs(spectrum).max())
+    return CpResult("numerical-only", bool(ok), witness)
 
 
 def broadcast_residual(c: CovariantCoefficients) -> float:
@@ -223,11 +225,9 @@ def classical_broadcast(x, basis=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     x = as_matrix(x)
     d = x.shape[0]
     b = _check_basis(basis, d, tol)
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        p = np.outer(b[:, i], b[:, i].conj())
-        out += (b[:, i].conj() @ x @ b[:, i]) * np.kron(p, p)
-    return out
+    weights = np.diag(b.conj().T @ x @ b)
+    doubled = (b[:, None, :] * b[None, :, :]).reshape(d * d, d)  # columns b_i (x) b_i
+    return (doubled * weights) @ doubled.conj().T
 
 
 def is_classically_consistent(
@@ -235,22 +235,19 @@ def is_classically_consistent(
 ) -> bool:
     """Whether pinch -> map -> doubled pinch equals the diagonal-copy map.
 
-    The pinch runs in the supplied orthonormal basis (standard basis by
-    default).  Checked on the diagonal projectors of that basis, which
-    span everything the first pinch lets through.
+    The doubled pinch keeps the diagonal of the image of E_ii, which is
+    c1 [b = i] + c2 [a = i] + (c3 + c4) [a = b = i] + c5 + c6 [a = b] at
+    |a, b>, and must equal [a = b = i].  The cases a = b = i, a != b = i,
+    b != a = i, a = b != i and (d >= 3) a, b, i distinct leave the residual
+    max |sum(c) - 1|, |c1 + c5|, |c2 + c5|, |c5 + c6|, |c5|.  By covariance
+    the verdict is the same in every orthonormal basis, so ``basis`` is
+    only validated.
     """
-    d = c.d
-    b = _check_basis(basis, d, tol)
-    bb = np.kron(b, b)
+    _check_basis(basis, c.d, tol)
+    c1, c2, _, _, c5, c6 = c.coeffs
+    defects = [sum(c.coeffs) - 1, c1 + c5, c2 + c5, c5 + c6] + ([c5] if c.d >= 3 else [])
     thr = tol.bound(max(1.0, c.max_magnitude()))
-    dev = 0.0
-    for i in range(d):
-        p = np.outer(b[:, i], b[:, i].conj())
-        y = bb.conj().T @ apply_map(c, p) @ bb
-        lhs = bb @ np.diag(np.diag(y)) @ bb.conj().T
-        rhs = np.kron(p, p)
-        dev = max(dev, float(np.abs(lhs - rhs).max()))
-    return dev <= thr
+    return max(map(abs, defects)) <= thr
 
 
 def is_virtual_broadcaster(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covmap.classify import (
+    _choi_spectrum,
     classical_broadcast,
     classify,
     commutant_fit,
@@ -14,7 +19,16 @@ from covmap.classify import (
     is_virtual_broadcaster,
     satisfies_broadcast,
 )
-from covmap.linalg import DimensionError, Tolerance, is_psd, kron, partial_trace, vec
+from covmap.linalg import (
+    DEFAULT_TOL,
+    DimensionError,
+    Tolerance,
+    is_psd,
+    kron,
+    operator_norm,
+    partial_trace,
+    vec,
+)
 from covmap.operators import haar_unitary, matrix_unit, substream, swap_operator
 from covmap.twocopy import (
     GAUGE_DIRECTION,
@@ -26,6 +40,46 @@ from covmap.twocopy import (
 )
 
 TIGHT = Tolerance(abs=1e-8, rel=0.0)
+
+
+def hermitian_basis(d):
+    """Spanning set of Hermitian matrices: diagonal units plus X/Y pairs."""
+    out = [matrix_unit(i, i, d) for i in range(1, d + 1)]
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            out.append(matrix_unit(i, j, d) + matrix_unit(j, i, d))
+            out.append(1j * (matrix_unit(i, j, d) - matrix_unit(j, i, d)))
+    return out
+
+
+def operational_self_adjoint(c, tol=DEFAULT_TOL):
+    """Reference: the realized map keeps every Hermitian basis element Hermitian."""
+    thr = tol.bound(max(1.0, c.max_magnitude()))
+    dev = max(
+        operator_norm(apply_map(c, x) - apply_map(c, x).conj().T) for x in hermitian_basis(c.d)
+    )
+    return dev <= thr
+
+
+def pinch_loop_consistent(c, tol=DEFAULT_TOL, basis=None):
+    """Reference: pinch -> realized map -> doubled pinch on each basis projector."""
+    d = c.d
+    b = np.eye(d, dtype=np.complex128) if basis is None else basis
+    bb = np.kron(b, b)
+    thr = tol.bound(max(1.0, c.max_magnitude()))
+    dev = 0.0
+    for i in range(d):
+        p = np.outer(b[:, i], b[:, i].conj())
+        y = bb.conj().T @ apply_map(c, p) @ bb
+        lhs = bb @ np.diag(np.diag(y)) @ bb.conj().T
+        rhs = np.kron(p, p)
+        dev = max(dev, float(np.abs(lhs - rhs).max()))
+    return dev <= thr
+
+
+def dense_choi_eigenvalues(c):
+    j = choi_matrix(c)
+    return np.linalg.eigvalsh((j + j.conj().T) / 2)
 
 
 def test_self_adjoint_examples():
@@ -47,6 +101,25 @@ def test_self_adjoint_gauge_shifted_at_d2():
     assert not is_self_adjoint(
         CovariantCoefficients(2, tuple(base.as_array() + np.array([1j, 0, 0, 0, 0, 0])))
     )
+
+
+def test_self_adjoint_matches_operational_check_at_d2():
+    rng = np.random.default_rng(16)
+    seen = set()
+    for k in range(200):
+        m1, m2, m5, m6 = rng.standard_normal(4)
+        m3 = complex(*rng.standard_normal(2))
+        z = np.array([m1, m2, m3, np.conj(m3), m5, m6])
+        z = z + complex(*rng.standard_normal(2)) * GAUGE_DIRECTION
+        if k % 4 == 1:
+            z[k % 6] += 1e-3j
+        elif k % 4 == 2:
+            z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        c = CovariantCoefficients(2, tuple(z))
+        verdict = is_self_adjoint(c)
+        assert verdict == operational_self_adjoint(c)
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_positive_examples():
@@ -114,6 +187,57 @@ def test_cp_matches_choi_oracle():
             assert is_cp(c, TIGHT).is_cp == is_psd(choi_matrix(c), TIGHT)
 
 
+def test_cp_with_trace_terms_matches_dense_choi():
+    rng = np.random.default_rng(17)
+    for d in range(2, 8):
+        verdicts = set()
+        for k in range(16):
+            m1, m2, m5, m6 = rng.standard_normal(4)
+            m3 = complex(*rng.standard_normal(2))
+            z = np.array([m1, m2, m3, np.conj(m3), m5, m6])
+            if k % 4 == 1:
+                z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            elif k % 4 >= 2:
+                # c5 adds c5 * I to the Choi matrix: move its least eigenvalue to +-1e-7
+                z[4] += -dense_choi_eigenvalues(CovariantCoefficients(d, tuple(z)))[0]
+                z[4] += 1e-7 if k % 8 >= 4 else -1e-7
+            if d == 2 and k % 2 == 0:
+                z = z + complex(*rng.standard_normal(2)) * GAUGE_DIRECTION
+            c = CovariantCoefficients(d, tuple(z))
+            dense = dense_choi_eigenvalues(c)
+            r = is_cp(c, TIGHT)
+            assert r.status == "numerical-only"
+            assert abs(r.witness - dense[0]) <= 1e-12 * np.abs(dense).max()
+            assert r.is_cp == is_psd(choi_matrix(c), TIGHT)
+            verdicts.add(r.is_cp)
+        assert verdicts == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.lists(st.floats(-2, 2), min_size=12, max_size=12))
+def test_choi_spectrum_is_the_dense_spectrum(d, parts):
+    c = CovariantCoefficients(d, tuple(complex(parts[2 * k], parts[2 * k + 1]) for k in range(6)))
+    dense = dense_choi_eigenvalues(c)
+    closed = _choi_spectrum(c)
+    gaps = np.abs(dense[:, None] - closed[None, :])
+    scale = max(1.0, np.abs(dense).max())
+    assert gaps.min(axis=1).max() <= 1e-10 * scale
+    assert gaps.min(axis=0).max() <= 1e-10 * scale
+
+
+def test_classify_at_the_size_cap_realizes_nothing():
+    # The dense Choi matrix alone would take 268 MB at d = 16.
+    c = CovariantCoefficients(16, (1, 2, 0.3, 0.3, 0.1, -0.2))
+    tracemalloc.start()
+    try:
+        rep = classify(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rep.completely_positive == "numerical-only"
+
+
 def test_broadcast_constraints():
     for d in (2, 3, 4):
         assert satisfies_broadcast(virtual_broadcast_coefficients(d))
@@ -170,6 +294,42 @@ def test_classical_consistency_in_rotated_basis():
     assert is_classically_consistent(c, basis=basis)
     with pytest.raises(ValueError):
         is_classically_consistent(c, basis=np.ones((3, 3)))
+
+
+def test_classical_consistency_matches_pinch_loop():
+    rng = np.random.default_rng(18)
+    for d in (2, 3, 4, 5):
+        verdicts = set()
+        for k in range(24):
+            if k % 3 == 0:
+                a = complex(*rng.standard_normal(2))
+                # a gauge shift keeps the map only at d = 2
+                t = rng.standard_normal() * (k % 2)
+                z = np.array([0, 0, a, 1 - a, 0, 0]) + t * GAUGE_DIRECTION
+            elif k % 3 == 1:
+                z = np.array([0, 0, 0.4, 0.6, 0, 0]) + 1e-6 * rng.standard_normal(6)
+            else:
+                z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            c = CovariantCoefficients(d, tuple(z))
+            verdict = is_classically_consistent(c)
+            assert verdict == pinch_loop_consistent(c)
+            basis = haar_unitary(d, seed=100 * d + k)
+            assert is_classically_consistent(c, basis=basis) == verdict
+            assert pinch_loop_consistent(c, basis=basis) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def test_classical_broadcast_matches_projector_loop():
+    rng = np.random.default_rng(19)
+    for d in (2, 3, 4):
+        b = haar_unitary(d, seed=d)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        expected = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            p = np.outer(b[:, i], b[:, i].conj())
+            expected += (b[:, i].conj() @ x @ b[:, i]) * np.kron(p, p)
+        assert np.abs(classical_broadcast(x, basis=b) - expected).max() < 1e-13 * np.abs(x).sum()
 
 
 def test_classical_broadcast_and_pinch_helpers():

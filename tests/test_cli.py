@@ -38,6 +38,21 @@ def test_classify_coefficients_file(tmp_path, capsys):
     assert "extraction_residual" not in out
 
 
+def test_classify_weights_at_the_size_cap(tmp_path, capsys):
+    c = CovariantCoefficients(16, (1, 2, 0.3, 0.3, 0.1, -0.2))
+    f = write(tmp_path / "d16.json", coefficients_to_obj(c))
+    assert main(["classify", f]) == 0
+    assert json.loads(capsys.readouterr().out)["completely_positive"] == "numerical-only"
+
+
+def test_classify_not_self_adjoint_weights(tmp_path, capsys):
+    # the violation |c4 - conj(c3)| is the binding one, so the verdict must
+    # still come out as a plain bool the JSON encoder accepts
+    f = write(tmp_path / "c.json", coefficients_to_obj(CovariantCoefficients(3, (0, 0, 1, 0, 0, 0))))
+    assert main(["classify", f]) == 0
+    assert json.loads(capsys.readouterr().out)["self_adjoint"] is False
+
+
 def test_classify_superoperator_input(tmp_path, capsys):
     sup = realize_superoperator(virtual_broadcast_coefficients(3))
     f = write(tmp_path / "sup.json", matrix_to_obj(sup))
