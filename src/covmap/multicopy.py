@@ -13,8 +13,9 @@ d >= m + 1, which is what entrywise extraction requires.
 
 Desk-scale guard: 2 <= m <= 4 and d**m <= 256.
 
-Slot permutations, generator positions and the realize scatter are the
-index kernel of :mod:`covmap.operators`; this module is its m-copy face.
+Slot permutations, generator positions, the realize scatter and its
+inverse, the weight read, are the index kernel of :mod:`covmap.operators`;
+this module is its m-copy face.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from functools import reduce
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, operator_norm
-from .operators import _BLOCK, _check_samples, _haar_unitaries, _realize, _rows, _shaped, _span_fit
-from .operators import enumerate_permutations
+from .operators import _BLOCK, _check_samples, _haar_unitaries, _read_weights, _realize, _rows
+from .operators import _shaped, _span_fit, enumerate_permutations
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
 
 __all__ = [
@@ -121,16 +122,14 @@ def realize_multi_superoperator(mc: MultiCopyCoefficients) -> np.ndarray:
 def extract_multi(
     superop, m: int, d: int, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[MultiCopyCoefficients, float]:
-    """Read all weights off probe images, then report the realization gap.
+    """Read all weights off single entries of two probe images.
 
-    For generator j >= 2 the probe input is e1 e2* applied to a basis
-    tensor carrying e2 in slot j-1 and pairwise-distinct higher basis
-    vectors elsewhere; each permutation weight then sits alone as one
-    amplitude.  Trace weights come from the image of e1 e1* after the
-    recovered slot terms are subtracted.  Needs d >= m + 1; otherwise the
-    weights are not unique and UniquenessUnavailableError is raised.
-    Returns (coefficients, operator-norm residual against the input).
-    ``tol`` is accepted for signature compatibility and not used.
+    The probe entries are described on :func:`covmap.operators._read_weights`;
+    realized weights come back exactly, and at m = 2 this is
+    :func:`covmap.twocopy.extract` in table form.  Needs d >= m + 1;
+    otherwise the weights are not unique and UniquenessUnavailableError is
+    raised.  Returns (coefficients, operator-norm residual against the
+    input).  ``tol`` is accepted for signature compatibility and not used.
     """
     _check_desk(m, d)
     if d < m + 1:
@@ -138,22 +137,7 @@ def extract_multi(
             f"weights are not unique for d={d} < m+1={m + 1}"
         )
     superop = _shaped(superop, d, m)
-    dim, shape = d**m, (d,) * m
-    forward = np.argsort(_rows(m, d), axis=1)
-    # Columns d and 0 are vec(image of e1 e2*) and vec(image of e1 e1*);
-    # entry (x, c) of an image sits at c * dim + x.
-    y, z = superop[:, d], superop[:, 0]
-    lam = np.zeros((math.factorial(m), m + 1), dtype=np.complex128)
-    fillers = list(range(2, m + 1))
-    for slot in range(m):
-        v = np.ravel_multi_index(fillers[:slot] + [1] + fillers[slot:], shape)
-        w = np.ravel_multi_index(fillers[:slot] + [0] + fillers[slot:], shape)
-        lam[:, slot + 1] = y[v * dim + forward[:, w]]
-    # u has distinct digits, so at the tensor permutation i makes of it the
-    # e1 e1* image holds only that permutation's trace and first-slot weights.
-    u = np.ravel_multi_index(range(m), shape)
-    lam[:, 0] = z[u * dim + forward[:, u]] - lam[:, 1]
-    mc = MultiCopyCoefficients(m, d, lam)
+    mc = MultiCopyCoefficients(m, d, _read_weights(superop, m, d))
     residual = operator_norm(superop - realize_multi_superoperator(mc))
     return mc, residual
 

@@ -168,24 +168,20 @@ def cb_norm(
     thr = tol.bound(scale)
     m1, m2, m3, m4 = corner_coefficients(c)
     detail = {"corner_magnitudes": [abs(m1), abs(m2), abs(m3), abs(m4)]}
+    # m1 and m4 are the eigenvalues (c1 + c2) +- (c3 + c4) of the identity's image.
+    identity_norm = max(abs(m1), abs(m4))
     if max(abs(c1 - c2), abs(c3 - c4)) <= thr:
-        # m1 = 2(c1 + c3) and m4 = 2(c1 - c3) are the two eigenvalue families.
-        value = max(abs(m1), abs(m4))
-        return CbNormResult("exact", float(value), "swap-symmetric", detail)
+        return CbNormResult("exact", float(identity_norm), "swap-symmetric", detail)
     on_variety = abs(c1 * c2 - c3 * c4) <= tol.bound(scale**2)
-    if on_variety:
-        identity_norm = max(abs(m1), abs(m4))
-        if identity_norm >= max(abs(m2), abs(m3)) - thr:
-            return CbNormResult("exact", float(identity_norm), "corner-compression", detail)
-        lower = monte_carlo_norm(c, samples, seed, tol)
-        upper = max(abs(m1), abs(m2), abs(m3), abs(m4))
-        detail["samples"] = samples
-        detail["seed"] = seed
-        return CbNormResult("bracket", (float(lower), float(upper)), "corner-compression", detail)
+    if on_variety and identity_norm >= max(abs(m2), abs(m3)) - thr:
+        return CbNormResult("exact", float(identity_norm), "corner-compression", detail)
     lower = monte_carlo_norm(c, samples, seed, tol)
     detail["samples"] = samples
     detail["seed"] = seed
-    return CbNormResult("lower_bound", float(lower), "monte-carlo", detail)
+    if on_variety:
+        upper = max(identity_norm, abs(m2), abs(m3))
+        return CbNormResult("bracket", (lower, upper), "corner-compression", detail)
+    return CbNormResult("lower_bound", lower, "monte-carlo", detail)
 
 
 def corner_norm_bound_check(

@@ -61,14 +61,12 @@ def _conjugate(x: np.ndarray, mats) -> np.ndarray:
     return x.reshape(-1, *shape)
 
 
-def _haar_average(x: np.ndarray, d: int, samples: int, seed: int, axes, identity_first=False):
-    """Mean of _conjugate(x, axes(U_k)) over k < samples; identity_first sets U_0 = I."""
+def _haar_average(x: np.ndarray, d: int, samples: int, seed: int, axes):
+    """Mean of _conjugate(x, axes(U_k)) over k < samples."""
     # Conjugates go step at a time, at most 256 KB: cache-sized, and flat in samples.
     acc, step = np.zeros_like(x), max(1, (1 << 18) // x.nbytes)
     for start in range(0, samples, _BLOCK):
         us = _haar_unitaries(d, seed, range(start, min(start + _BLOCK, samples)))
-        if start == 0 and identity_first:
-            us[0] = np.eye(d)
         for i in range(0, len(us), step):
             acc += _conjugate(x, axes(us[i : i + step])).sum(axis=0)
     return acc / samples
@@ -104,20 +102,18 @@ def twirl(
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
     deviation_samples: int = 20,
-    first_sample_identity: bool = False,
 ) -> TwirlResult:
     """Average conjugated copies of a superoperator and extract weights.
 
-    Sample k uses its own substream of the seed, so enlarging ``samples``
-    extends the same sample path.  ``first_sample_identity`` replaces
-    sample 0 by the identity unitary; with samples=1 the average then
-    equals the input exactly, which pins the plumbing in tests.
-    Weights come from entrywise extraction for d >= 3 and from the
+    Sample k conjugates by haar_unitary(d, seed, k), so enlarging
+    ``samples`` extends the same sample path, and one sample is exactly
+    conjugated_superoperator with that unitary.  Weights come from the
+    kernel read (:func:`covmap.twocopy.extract`) for d >= 3 and from the
     least-squares fit (gauge-reduced) at d = 2.
     """
     superop = _shaped(superop, d)
     _check_samples(samples, deviation_samples)
-    avg = _haar_average(superop, d, samples, seed, _superoperator_axes, first_sample_identity)
+    avg = _haar_average(superop, d, samples, seed, _superoperator_axes)
     dev_before = covariance_deviation(superop, d, deviation_samples, seed)
     dev_after = covariance_deviation(avg, d, deviation_samples, seed)
     coeffs, residual = extract(avg, d, tol) if d >= 3 else fit_coefficients(avg, d)

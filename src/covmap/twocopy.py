@@ -20,7 +20,8 @@ The family is the m = 2 view of the m-copy index kernel in
 :mod:`covmap.operators`: the six weights fill the table of the identity
 and swap permutations, [[c5, c2, c1], [c6, c4, c3]], and realize, the
 generator basis and the Choi matrix all come from that table's scatter;
-the least-squares fit solves over the same generator positions.
+extraction is the kernel's read of that table, and the least-squares fit
+solves over the same generator positions.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, operator_norm, unvec
-from .operators import _realize, _rows, _scatter, _shaped, _span_fit
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, operator_norm
+from .operators import _read_weights, _realize, _rows, _scatter, _shaped, _span_fit
 
 __all__ = [
     "GAUGE_DIRECTION",
@@ -127,11 +128,10 @@ def choi_matrix(c: CovariantCoefficients) -> np.ndarray:
 
 
 def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoefficients, float]:
-    """Read the six weights off single matrix elements of two probe images.
+    """Read the six weights off single entries: the kernel read at m = 2.
 
-    Probes are the images of e1 e2* and e1 e1*; each weight appears alone
-    as one entry because the basis vectors involved are distinct, which
-    needs d >= 3.  At d = 2 raises GaugeAmbiguousError (use
+    The probe entries are described on :func:`covmap.operators._read_weights`;
+    they need d >= 3, so d = 2 raises GaugeAmbiguousError (use
     :func:`fit_coefficients` there).  Returns (coefficients, residual)
     where the residual is the operator-norm distance between ``superop``
     and the realized coefficients, so non-covariant input is detected
@@ -141,19 +141,7 @@ def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoe
     if d == 2:
         raise GaugeAmbiguousError("weights are not unique at d = 2")
     superop = _shaped(superop, d)
-    # Columns d and 0 are vec(image of e1 e2*) and vec(image of e1 e1*).
-    y = unvec(superop[:, d], d * d)
-    z = unvec(superop[:, 0], d * d)
-    # Image of e1e2* on e3(x)e2 has weight c1 on e3(x)e1 and c3 on e1(x)e3;
-    # on e2(x)e3 it has c2 on e1(x)e3 and c4 on e3(x)e1.  Trace weights sit
-    # in the image of e1e1* on e2(x)e3.
-    c1 = y[2 * d + 0, 2 * d + 1]
-    c3 = y[0 * d + 2, 2 * d + 1]
-    c2 = y[0 * d + 2, 1 * d + 2]
-    c4 = y[2 * d + 0, 1 * d + 2]
-    c5 = z[1 * d + 2, 1 * d + 2]
-    c6 = z[2 * d + 1, 1 * d + 2]
-    c = CovariantCoefficients(d, (c1, c2, c3, c4, c5, c6))
+    c = CovariantCoefficients(d, _read_weights(superop, 2, d).reshape(-1)[_UNTABLE])
     residual = operator_norm(superop - realize_superoperator(c))
     return c, residual
 

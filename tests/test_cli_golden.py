@@ -21,6 +21,14 @@ Monte-Carlo probe's image norm from its eigenvalues instead of from an SVD
 of the dense image ("Monte-Carlo cb-norm probes read from their spectra"):
 the probes are unchanged, and only ``value.lower`` moved in the last digit,
 3.99999957877573 -> 3.999999578775729.
+
+``multicopy-extract.json`` alone was recaptured by the commit that gave
+both extractions one weight read, the inverse of the realize scatter ("One
+weight read for every copy count"): the trace weights are now read
+directly instead of by subtraction, so the swap row's trace weight comes
+back as the generating weight, 0.21462248176518917 -> 0.2146224817651891
+and 2.174836592768272 -> 2.1748365927682722, and ``residual`` moved
+1.692862592547962e-15 -> 0.0.
 """
 
 from pathlib import Path

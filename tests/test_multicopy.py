@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -24,6 +25,7 @@ from covmap.operators import Permutation, _scatter, haar_unitary, matrix_unit, p
 from covmap.twocopy import (
     CovariantCoefficients,
     apply_map,
+    extract,
     realize_superoperator,
     virtual_broadcast_coefficients,
 )
@@ -162,6 +164,30 @@ def test_extract_round_trip_m3_d4():
     assert res < 1e-9
 
 
+# Every (m, d) inside the desk cap with unique weights, d >= m + 1.
+READ_SHAPES = [(m, d) for m in (2, 3, 4) for d in range(m + 1, 17) if d**m <= 256]
+
+
+@pytest.mark.parametrize("m,d", READ_SHAPES)
+def test_extract_inverts_realize_exactly(m, d):
+    rng = np.random.default_rng(500 + 20 * m + d)
+    shape = (math.factorial(m), m + 1)
+    lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got, res = extract_multi(realize_multi_superoperator(MultiCopyCoefficients(m, d, lam)), m, d)
+    assert got.lam.tobytes() == lam.tobytes()
+    assert res == 0.0
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_extract_multi_at_m2_is_the_two_copy_extract(d):
+    rng = np.random.default_rng(600 + d)
+    sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+    got, res = extract_multi(sup, 2, d)
+    want, want_res = extract(sup, d)
+    assert to_two_copy(got).as_array().tobytes() == want.as_array().tobytes()
+    assert res == want_res
+
+
 def test_extract_requires_room_for_distinct_indices():
     sup = np.zeros((27, 9), dtype=complex)
     with pytest.raises(UniquenessUnavailableError):
@@ -175,7 +201,8 @@ def test_extract_non_covariant_residual_frozen():
     sup = rng.standard_normal((81, 9)) + 1j * rng.standard_normal((81, 9))
     _, res = extract_multi(sup, 2, 3)
     assert res > 0.01
-    assert res == pytest.approx(22.457535029470062, rel=1e-9)
+    assert res == pytest.approx(17.130226809959122, rel=1e-9)
+    assert res == extract(sup, 3)[1]
 
 
 def test_covariance_residual_multi_cases():

@@ -30,6 +30,10 @@ def classical_copy_superoperator(d):
 def test_conjugated_superoperator_identity_is_noop():
     sup = realize_superoperator(virtual_broadcast_coefficients(3))
     assert np.array_equal(conjugated_superoperator(sup, np.eye(3, dtype=complex)), sup)
+    rng = np.random.default_rng(29)
+    for d in (2, 4):
+        sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+        assert np.array_equal(conjugated_superoperator(sup, np.eye(d, dtype=complex)), sup)
 
 
 def test_covariant_maps_are_fixed_points():
@@ -51,19 +55,13 @@ def test_twirl_at_d2_reports_gauge_reduced_coefficients():
     assert np.abs(res.coefficients.as_array() - reduced.as_array()).max() < 1e-10
 
 
-def test_single_identity_sample_returns_input():
-    sup = classical_copy_superoperator(3)
-    res = twirl(sup, 3, samples=1, seed=0, first_sample_identity=True)
-    assert np.array_equal(res.averaged, sup)
-    assert res.samples == 1
-
-
-@pytest.mark.parametrize("d", [2, 4])
-def test_single_identity_sample_returns_complex_input(d):
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_single_sample_is_one_conjugation(d):
     rng = np.random.default_rng(50 + d)
     sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
-    res = twirl(sup, d, samples=1, seed=0, first_sample_identity=True)
-    assert np.array_equal(res.averaged, sup)
+    res = twirl(sup, d, samples=1, seed=d)
+    assert res.averaged.tobytes() == conjugated_superoperator(sup, haar_unitary(d, d, 0)).tobytes()
+    assert res.samples == 1
 
 
 def test_twirl_of_classical_copier_approaches_symmetric_average():

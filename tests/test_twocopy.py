@@ -159,6 +159,34 @@ def test_extract_flags_non_covariant_input():
     assert residual == pytest.approx(1.0, abs=1e-12)
 
 
+def _six_entry_read(superop, d):
+    """The hand-indexed two-copy read that the kernel read replaced."""
+    # Columns d and 0 are vec(image of e1 e2*) and vec(image of e1 e1*).
+    y = unvec(superop[:, d], d * d)
+    z = unvec(superop[:, 0], d * d)
+    # Image of e1e2* on e3(x)e2 has weight c1 on e3(x)e1 and c3 on e1(x)e3;
+    # on e2(x)e3 it has c2 on e1(x)e3 and c4 on e3(x)e1.  Trace weights sit
+    # in the image of e1e1* on e2(x)e3.
+    c1 = y[2 * d + 0, 2 * d + 1]
+    c3 = y[0 * d + 2, 2 * d + 1]
+    c2 = y[0 * d + 2, 1 * d + 2]
+    c4 = y[2 * d + 0, 1 * d + 2]
+    c5 = z[1 * d + 2, 1 * d + 2]
+    c6 = z[2 * d + 1, 1 * d + 2]
+    c = CovariantCoefficients(d, (c1, c2, c3, c4, c5, c6))
+    return c, operator_norm(superop - realize_superoperator(c))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_extract_matches_six_entry_reference(d):
+    rng = np.random.default_rng(400 + d)
+    sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+    got, res = extract(sup, d)
+    want, want_res = _six_entry_read(sup, d)
+    assert got.as_array().tobytes() == want.as_array().tobytes()
+    assert res == want_res
+
+
 def test_extract_rejects_low_dimension():
     with pytest.raises(GaugeAmbiguousError):
         extract(np.zeros((16, 4)), 2)
