@@ -103,8 +103,34 @@ def partial_trace(t, d1: int, d2: int, side: str = "first") -> np.ndarray:
 
 def operator_norm(a) -> float:
     """Largest singular value. Works for rectangular input."""
-    a = as_matrix(a)
-    return float(np.linalg.norm(a, 2))
+    return float(_top_singular_values(as_matrix(a)))
+
+
+# A matrix whose largest real or imaginary entry part lies within 2**(+-this)
+# has a Gram matrix that neither overflows nor loses leading digits to underflow.
+_GRAM_EXPONENT = 400
+
+
+def _top_singular_values(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack of shape (..., p, q).
+
+    The square root of the top eigenvalue of the Gram matrix on the smaller
+    side, a^dag a or a a^dag, which is all an operator norm needs of an SVD.
+    A matrix whose largest entry part leaves the range 2**(+-_GRAM_EXPONENT)
+    is scaled by an exact power of two first, so the SVD's floating-point
+    range is kept; every other matrix is used as given, without a copy.
+    """
+    a = np.ascontiguousarray(a)
+    parts = a.view(a.real.dtype)  # real and imaginary parts side by side
+    peak = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
+    exponent = np.frexp(peak)[1]  # 0 for a zero, infinite or nan peak
+    shift = 0
+    if not np.all(np.abs(exponent) <= _GRAM_EXPONENT):
+        shift = np.where(np.abs(exponent) > _GRAM_EXPONENT, -exponent, 0)
+        a = np.ldexp(parts, shift[..., None, None]).view(a.dtype)
+    h = np.conj(np.swapaxes(a, -1, -2))
+    gram = h @ a if a.shape[-2] >= a.shape[-1] else a @ h
+    return np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), -shift)
 
 
 def frobenius_norm(a) -> float:

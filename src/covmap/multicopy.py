@@ -26,7 +26,8 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, operator_norm
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _top_singular_values
+from .linalg import frobenius_norm, operator_norm, unvec, vec
 from .operators import _BLOCK, _check_samples, _haar_unitaries, _read_weights, _realize, _rows
 from .operators import _shaped, _span_fit, enumerate_permutations
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
@@ -96,25 +97,16 @@ def slot_embedding(j: int, x, m: int, d: int) -> np.ndarray:
 
 
 def apply_multi(mc: MultiCopyCoefficients, x) -> np.ndarray:
-    """Image of the d x d matrix x, of size d^m x d^m."""
-    m, d = mc.m, mc.d
-    embeddings = [slot_embedding(j, x, m, d) for j in range(1, m + 2)]
-    out = np.zeros((d**m, d**m), dtype=np.complex128)
-    for i, rows in enumerate(_rows(m, d)):
-        inner = np.zeros_like(out)
-        for j in range(m + 1):
-            coeff = mc.lam[i, j]
-            if coeff != 0:
-                inner += coeff * embeddings[j]
-        out += inner[rows]
-    return out
+    """Image of the d x d matrix x, of size d^m x d^m: the realized map times vec(x)."""
+    image = realize_multi_superoperator(mc) @ vec(_shaped(x, mc.d, mc.m, "input"))
+    return np.ascontiguousarray(unvec(image, mc.d**mc.m))
 
 
 def realize_multi_superoperator(mc: MultiCopyCoefficients) -> np.ndarray:
     """d^(2m) x d^2 matrix M with M @ vec(X) == vec(apply_multi(mc, X)).
 
     Weights are summed per permutation in generator order, then across
-    permutations in order, as apply_multi sums them.
+    permutations in order.
     """
     return _realize(mc.lam, mc.m, mc.d)
 
@@ -159,10 +151,9 @@ def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: 
     for start in range(0, samples, _BLOCK):
         for u in _haar_unitaries(d, seed, range(start, min(start + _BLOCK, samples))):
             w = reduce(np.kron, [u] * m)
-            lhs = images(superop @ np.kron(u.conj(), u))
-            rhs = w @ before @ w.conj().T
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2, axis=(1, 2)).max()))
-    return worst
+            defects = images(superop @ np.kron(u.conj(), u)) - w @ before @ w.conj().T
+            worst = max(worst, _top_singular_values(defects).max())
+    return float(worst)
 
 
 def covariance_residual_multi(

@@ -181,7 +181,11 @@ def maps_equal(
     """Whether two coefficient vectors realize the same map."""
     if a.d != b.d:
         raise DimensionError(f"dimension mismatch {a.d} vs {b.d}")
-    da = gauge_reduce(a).as_array()
-    db = gauge_reduce(b).as_array()
-    scale = max(np.abs(da).max(), np.abs(db).max())
-    return bool(np.abs(da - db).max() <= tol.bound(scale))
+    return _reduced_gap(gauge_reduce(a), gauge_reduce(b), tol)[1]
+
+
+def _reduced_gap(a: CovariantCoefficients, b: CovariantCoefficients, tol: Tolerance):
+    """Largest weight gap of two gauge-reduced vectors, and the maps_equal verdict on them."""
+    da, db = a.as_array(), b.as_array()
+    gap = np.abs(da - db).max()
+    return float(gap), bool(gap <= tol.bound(max(np.abs(da).max(), np.abs(db).max())))

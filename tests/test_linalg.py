@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from covmap.linalg import (
     DimensionError,
+    _top_singular_values,
     NotHermitianError,
     Tolerance,
     hermitian_eigenvalues,
@@ -137,6 +140,64 @@ def test_operator_norm_unitary_invariance():
     u = haar_unitary(4, seed=6)
     assert operator_norm(u @ a) == pytest.approx(operator_norm(a), rel=1e-12)
     assert operator_norm(a.conj().T) == pytest.approx(operator_norm(a), rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+def _svd_norms(a):
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from(["complex", "real", "rank-1"]),
+    st.integers(0, 2**31 - 1),
+)
+def test_top_singular_values_match_the_svd(stack, p, q, kind, seed):
+    # Tall, wide, square and stacked inputs, at the tolerance the Gram route
+    # is held to: 16 eps relative to the SVD.
+    rng = np.random.default_rng(seed)
+    shape = (*stack, p, q)
+    a = rng.standard_normal(shape) + (0 if kind == "real" else 1j * rng.standard_normal(shape))
+    if kind == "rank-1":
+        a = a[..., :1] * rng.standard_normal(q)
+    got = _top_singular_values(a)
+    assert got.shape == tuple(stack)
+    assert np.all(np.abs(got - _svd_norms(a)) <= 16 * EPS * _svd_norms(a))
+    if not stack:
+        assert abs(operator_norm(a) - np.linalg.norm(a, 2)) <= 16 * EPS * np.linalg.norm(a, 2)
+
+
+@pytest.mark.parametrize("m,d", [(2, 3), (2, 6), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4)])
+def test_operator_norm_on_residual_shapes(m, d):
+    rng = np.random.default_rng(10 * m + d)
+    a = _rand(rng, d ** (2 * m), d * d)
+    assert abs(operator_norm(a) - np.linalg.norm(a, 2)) <= 16 * EPS * np.linalg.norm(a, 2)
+
+
+def test_top_singular_values_of_zero_are_exactly_zero():
+    assert operator_norm(np.zeros((5, 3))) == 0.0
+    got = _top_singular_values(np.zeros((2, 4, 4), dtype=complex))
+    assert np.array_equal(got, [0.0, 0.0]) and not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_operator_norm_keeps_the_svd_range(scale):
+    # An unscaled Gram matrix would underflow to 0 at 1e-200 and overflow at
+    # 1e+200; exact power-of-two scaling keeps the SVD's answer.
+    rng = np.random.default_rng(8)
+    for a in (_rand(rng, 9, 4) * scale, rng.standard_normal((3, 6, 6)) * scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _top_singular_values(a)
+        ref = _svd_norms(a)
+        assert np.all(np.abs(got - ref) <= 16 * EPS * ref)
+    a = np.diag([3.0, -4.0]) * scale
+    assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=16 * EPS)
 
 
 def test_hs_inner_identity_and_swap():

@@ -345,23 +345,26 @@ def _digit_loop_permutation(p, d):
     return g
 
 
-def _per_column_realize(mc):
-    """Each column is the dense image of one matrix unit."""
+def _loop_apply(mc, x):
+    """The image as a sum of permuted dense slot embeddings."""
     m, d = mc.m, mc.d
     rows = [np.argsort(_digit_loop_forward(p, d)) for p in enumerate_permutations(m)]
-    out = np.zeros((d ** (2 * m), d * d), dtype=np.complex128)
-    for k in range(d * d):
-        x = unvec(np.eye(d * d, dtype=np.complex128)[k], d)
-        embeddings = [slot_embedding(j, x, m, d) for j in range(1, m + 2)]
-        img = np.zeros((d**m, d**m), dtype=np.complex128)
-        for i, r in enumerate(rows):
-            inner = np.zeros_like(img)
-            for j in range(m + 1):
-                if mc.lam[i, j] != 0:
-                    inner += mc.lam[i, j] * embeddings[j]
-            img += inner[r]
-        out[:, k] = vec(img)
-    return out
+    embeddings = [slot_embedding(j, x, m, d) for j in range(1, m + 2)]
+    img = np.zeros((d**m, d**m), dtype=np.complex128)
+    for i, r in enumerate(rows):
+        inner = np.zeros_like(img)
+        for j in range(m + 1):
+            if mc.lam[i, j] != 0:
+                inner += mc.lam[i, j] * embeddings[j]
+        img += inner[r]
+    return img
+
+
+def _per_column_realize(mc):
+    """Each column is the dense image of one matrix unit."""
+    d = mc.d
+    units = np.eye(d * d, dtype=np.complex128)
+    return np.stack([vec(_loop_apply(mc, unvec(e, d))) for e in units], axis=1)
 
 
 def _dense_gram_fit(t, m, d):
@@ -407,6 +410,42 @@ def test_kernel_matches_loop_references(m, d):
         noisy = sup + 1e-3 * rng.standard_normal(sup.shape)
         got = covariance_residual_multi(noisy, m, d, samples=2, seed=5)
         assert got == pytest.approx(_loop_defect(noisy, m, d, 2, 5), rel=1e-12)
+    # apply_multi is the realized product: the loop's terms in another
+    # order, so equal to rounding, and C-ordered like the loop's image.
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    image = apply_multi(mc, x)
+    bound = 256 * np.finfo(float).eps * np.abs(lam).sum() * d * np.abs(x).max()
+    assert image.flags.c_contiguous
+    assert np.abs(image - _loop_apply(mc, x)).max() <= bound
+
+
+def _stacked_svd_defect(sup, m, d, samples, seed):
+    """The covariance defect with a full stacked SVD per sampled unitary."""
+    dim = d**m
+
+    def images(cols):
+        return cols.T.reshape(d * d, dim, dim).transpose(0, 2, 1)
+
+    before = images(sup)
+    worst = 0.0
+    for k in range(samples):
+        u = haar_unitary(d, seed, k)
+        w = reduce(np.kron, [u] * m)
+        lhs = images(sup @ np.kron(u.conj(), u))
+        rhs = w @ before @ w.conj().T
+        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2, axis=(1, 2)).max()))
+    return worst
+
+
+# The covres shapes of the benchmark, plus m = 2 at d = 3..5.
+@pytest.mark.parametrize("m,d", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 3)])
+def test_covariance_defect_matches_the_stacked_svd(m, d):
+    rng = np.random.default_rng(500 + 10 * m + d)
+    lam = rng.standard_normal((math.factorial(m), m + 1)) + 0j
+    sup = realize_multi_superoperator(MultiCopyCoefficients(m, d, lam))
+    for noisy in (sup + 1e-3 * rng.standard_normal(sup.shape), rng.standard_normal(sup.shape)):
+        got = covariance_residual_multi(noisy, m, d, samples=2, seed=4)
+        assert got == pytest.approx(_stacked_svd_defect(noisy, m, d, 2, 4), rel=1e-12)
 
 
 @pytest.mark.parametrize("m,d", KERNEL_SHAPES)
