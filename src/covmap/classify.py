@@ -19,7 +19,6 @@ from .multicopy import _schur_weyl
 from .operators import _shaped
 from .twocopy import (
     CovariantCoefficients,
-    _reduced_gap,
     gauge_reduce,
     maps_equal,
     virtual_broadcast_coefficients,
@@ -62,18 +61,13 @@ def is_self_adjoint(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> b
     representative of a self-adjoint map differs from one of them by a
     complex multiple of g, which gauge_reduce removes.
     """
-    return _is_self_adjoint(c, gauge_reduce(c), tol)
-
-
-# The private twins of the predicates take g = gauge_reduce(c) next to c, so
-# that classify reduces the weights once for the whole report.
-def _is_self_adjoint(c, g, tol: Tolerance) -> bool:
     thr = tol.bound(max(1.0, c.max_magnitude()))
-    return bool(_self_adjoint_violation(g) <= thr)
+    return bool(_self_adjoint_violation(gauge_reduce(c)) <= thr)
 
 
-def _real_normal_form(g: CovariantCoefficients):
-    """Real weights (m1, m2, m5, m6) and complex m3 of gauge-reduced self-adjoint weights."""
+def _real_normal_form(c: CovariantCoefficients):
+    """Real weights (m1, m2, m5, m6) and complex m3 of a self-adjoint vector."""
+    g = gauge_reduce(c)
     c1, c2, c3, c4, c5, c6 = g.coeffs
     m3 = (c3 + np.conj(c4)) / 2
     return c1.real, c2.real, complex(m3), c5.real, c6.real
@@ -84,8 +78,8 @@ def _trace_sector(m5: float, m6: float, d: int) -> list[float]:
     return [m5 + m6, m5 - m6] if d >= 3 else [m5 + m6]
 
 
-def _choi_spectrum(g: CovariantCoefficients) -> np.ndarray:
-    """Distinct eigenvalues of the Hermitian part of the Choi matrix of reduced weights g.
+def _choi_spectrum(c: CovariantCoefficients) -> np.ndarray:
+    """Distinct eigenvalues of the Hermitian part of the Choi matrix.
 
     The Choi matrix commutes with conj(U) (x) U (x) U, so it lies in the
     walled Brauer algebra B_{2,1}(d).  The vectors sum_k |k, k, v> and
@@ -94,13 +88,13 @@ def _choi_spectrum(g: CovariantCoefficients) -> np.ndarray:
     K = [[m2, m3], [conj m3, m1]] and T = [[m5, m6], [m6, m5]].  The rest
     of the spectrum is the trace sector.
     """
-    m1, m2, m3, m5, m6 = _real_normal_form(g)
-    a, b = np.sqrt(g.d + 1), np.sqrt(g.d - 1)
+    m1, m2, m3, m5, m6 = _real_normal_form(c)
+    a, b = np.sqrt(c.d + 1), np.sqrt(c.d - 1)
     r = np.array([[a + b, a - b], [a - b, a + b]]) / 2
     k = np.array([[m2, m3], [np.conj(m3), m1]], dtype=np.complex128)
     t = np.array([[m5, m6], [m6, m5]])
     block = np.linalg.eigvalsh(r @ k @ r + t)
-    return np.concatenate([block, _trace_sector(m5, m6, g.d)])
+    return np.concatenate([block, _trace_sector(m5, m6, c.d)])
 
 
 def positivity_margin(c: CovariantCoefficients) -> float:
@@ -110,17 +104,13 @@ def positivity_margin(c: CovariantCoefficients) -> float:
     e1 e1*: the total weight, the 2 x 2 mixing block, and the trace-sector
     weights (m5 +- m6 for d >= 3, m5 + m6 for d = 2).
     """
-    return _positivity_margin(gauge_reduce(c))
-
-
-def _positivity_margin(g: CovariantCoefficients) -> float:
-    m1, m2, m3, m5, m6 = _real_normal_form(g)
+    m1, m2, m3, m5, m6 = _real_normal_form(c)
     total = m1 + m2 + 2 * m3.real + m5 + m6
     block = np.array(
         [[m1 + m5, np.conj(m3) + m6], [m3 + m6, m2 + m5]], dtype=np.complex128
     )
     block_min = float(np.linalg.eigvalsh(block)[0])
-    return float(min(total, block_min, *_trace_sector(m5, m6, g.d)))
+    return float(min(total, block_min, *_trace_sector(m5, m6, c.d)))
 
 
 def is_positive(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -130,14 +120,10 @@ def is_positive(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
     verdict is the closed criterion, equivalent to PSD-ness of the image
     of a rank-one projector.
     """
-    return _is_positive(c, gauge_reduce(c), tol)
-
-
-def _is_positive(c, g, tol: Tolerance) -> bool:
-    if not _is_self_adjoint(c, g, tol):
+    if not is_self_adjoint(c, tol):
         return False
     thr = tol.bound(max(1.0, c.max_magnitude()))
-    return _positivity_margin(g) >= -thr
+    return positivity_margin(c) >= -thr
 
 
 @dataclass(frozen=True)
@@ -164,10 +150,6 @@ def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
     self-adjoint and the smallest Choi eigenvalue (see _choi_spectrum) is
     at least -tol.bound(largest |eigenvalue|); tagged numerical-only.
     """
-    return _is_cp(c, gauge_reduce(c), tol)
-
-
-def _is_cp(c, g, tol: Tolerance) -> CpResult:
     c1, c2, c3, c4, c5, c6 = c.coeffs
     scale = max(1.0, c.max_magnitude())
     thr = tol.bound(scale)
@@ -183,9 +165,9 @@ def _is_cp(c, g, tol: Tolerance) -> CpResult:
         det = c1.real * c2.real - abs(c3) ** 2
         ok = linear >= -thr and det >= -tol.bound(scale**2)
         return CpResult("yes" if ok else "no", ok, float(min(linear, det)))
-    spectrum = _choi_spectrum(g)
+    spectrum = _choi_spectrum(c)
     witness = float(spectrum.min())
-    ok = _is_self_adjoint(c, g, tol) and witness >= -tol.bound(np.abs(spectrum).max())
+    ok = is_self_adjoint(c, tol) and witness >= -tol.bound(np.abs(spectrum).max())
     return CpResult("numerical-only", bool(ok), witness)
 
 
@@ -210,10 +192,7 @@ def is_permutation_invariant(c: CovariantCoefficients, tol: Tolerance = DEFAULT_
     Holds exactly when c1 = c2 and c3 = c4; both differences are gauge
     invariant, so the d = 2 reduction is only for canonical form.
     """
-    return _is_permutation_invariant(c, gauge_reduce(c), tol)
-
-
-def _is_permutation_invariant(c, g, tol: Tolerance) -> bool:
+    g = gauge_reduce(c)
     c1, c2, c3, c4, _, _ = g.coeffs
     thr = tol.bound(max(1.0, c.max_magnitude()))
     return bool(max(abs(c1 - c2), abs(c3 - c4)) <= thr)
@@ -313,28 +292,31 @@ class ClassificationReport:
 def classify(
     c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL, basis=None
 ) -> ClassificationReport:
-    """Run every verdict once and bundle the results; the weights are gauge-reduced once."""
-    g = gauge_reduce(c)
-    sa = _is_self_adjoint(c, g, tol)
-    cp = _is_cp(c, g, tol)
-    distance, virtual = _reduced_gap(g, gauge_reduce(virtual_broadcast_coefficients(c.d)), tol)
+    """Run every verdict once and bundle the results."""
+    sa = is_self_adjoint(c, tol)
+    cp = is_cp(c, tol)
     evidence = {
-        "self_adjoint_violation": float(_self_adjoint_violation(g)),
-        "positivity_margin": _positivity_margin(g) if sa else None,
+        "self_adjoint_violation": float(_self_adjoint_violation(gauge_reduce(c))),
+        "positivity_margin": positivity_margin(c) if sa else None,
         "cp_witness": cp.witness,
         "cp_holds": cp.is_cp,
         "broadcast_residual": broadcast_residual(c),
-        "virtual_broadcaster_distance": distance,
+        "virtual_broadcaster_distance": float(
+            np.abs(
+                gauge_reduce(c).as_array()
+                - gauge_reduce(virtual_broadcast_coefficients(c.d)).as_array()
+            ).max()
+        ),
     }
     return ClassificationReport(
         d=c.d,
         coefficients=c,
         self_adjoint=sa,
-        positive=_is_positive(c, g, tol),
+        positive=is_positive(c, tol),
         completely_positive=cp.status,
         broadcasting=satisfies_broadcast(c, tol),
-        permutation_invariant=_is_permutation_invariant(c, g, tol),
+        permutation_invariant=is_permutation_invariant(c, tol),
         classically_consistent=is_classically_consistent(c, tol, basis),
-        virtual_broadcaster=virtual,
+        virtual_broadcaster=is_virtual_broadcaster(c, tol),
         evidence=evidence,
     )

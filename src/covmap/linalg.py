@@ -107,8 +107,15 @@ def operator_norm(a) -> float:
 
 
 # A matrix whose largest real or imaginary entry part lies within 2**(+-this)
-# has a Gram matrix that neither overflows nor loses leading digits to underflow.
+# has a Gram matrix that neither overflows nor loses leading digits to
+# underflow, and a top Gram eigenvalue of at least 2**(-2 * this).
 _GRAM_EXPONENT = 400
+
+
+def _gram_top_eigenvalues(a: np.ndarray) -> np.ndarray:
+    h = np.conj(np.swapaxes(a, -1, -2))
+    gram = h @ a if a.shape[-2] >= a.shape[-1] else a @ h
+    return np.linalg.eigvalsh(gram)[..., -1]
 
 
 def _top_singular_values(a: np.ndarray) -> np.ndarray:
@@ -116,21 +123,28 @@ def _top_singular_values(a: np.ndarray) -> np.ndarray:
 
     The square root of the top eigenvalue of the Gram matrix on the smaller
     side, a^dag a or a a^dag, which is all an operator norm needs of an SVD.
-    A matrix whose largest entry part leaves the range 2**(+-_GRAM_EXPONENT)
-    is scaled by an exact power of two first, so the SVD's floating-point
-    range is kept; every other matrix is used as given, without a copy.
+    Only when a top eigenvalue comes out non-finite or below
+    2**(-2 * _GRAM_EXPONENT) are the entries checked, and the stack is
+    redone if some matrix has its largest entry part outside
+    2**(+-_GRAM_EXPONENT), with that matrix scaled by an exact power of two,
+    so the SVD's floating-point range is kept; a matrix inside that range
+    gets the same bits on either path.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled
+        try:
+            top = _gram_top_eigenvalues(a)
+        except np.linalg.LinAlgError:
+            top = None
+    if top is not None and np.all((top >= 2.0 ** (-2 * _GRAM_EXPONENT)) & (top < np.inf)):
+        return np.sqrt(top)
     a = np.ascontiguousarray(a)
     parts = a.view(a.real.dtype)  # real and imaginary parts side by side
     peak = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
     exponent = np.frexp(peak)[1]  # 0 for a zero, infinite or nan peak
-    shift = 0
-    if not np.all(np.abs(exponent) <= _GRAM_EXPONENT):
-        shift = np.where(np.abs(exponent) > _GRAM_EXPONENT, -exponent, 0)
-        a = np.ldexp(parts, shift[..., None, None]).view(a.dtype)
-    h = np.conj(np.swapaxes(a, -1, -2))
-    gram = h @ a if a.shape[-2] >= a.shape[-1] else a @ h
-    return np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), -shift)
+    shift = np.where(np.abs(exponent) > _GRAM_EXPONENT, -exponent, 0)
+    if top is None or shift.any():
+        top = _gram_top_eigenvalues(np.ldexp(parts, shift[..., None, None]).view(a.dtype))
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), -shift)
 
 
 def frobenius_norm(a) -> float:

@@ -27,9 +27,9 @@ from functools import reduce
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _top_singular_values
-from .linalg import frobenius_norm, operator_norm, unvec, vec
-from .operators import _BLOCK, _check_samples, _haar_unitaries, _read_weights, _realize, _rows
-from .operators import _shaped, _span_fit, enumerate_permutations
+from .linalg import frobenius_norm, operator_norm, vec
+from .operators import _BLOCK, _check_samples, _gather, _haar_unitaries, _read_weights, _realize
+from .operators import _rows, _shaped, _span_fit, enumerate_permutations
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
 
 __all__ = [
@@ -97,16 +97,23 @@ def slot_embedding(j: int, x, m: int, d: int) -> np.ndarray:
 
 
 def apply_multi(mc: MultiCopyCoefficients, x) -> np.ndarray:
-    """Image of the d x d matrix x, of size d^m x d^m: the realized map times vec(x)."""
-    image = realize_multi_superoperator(mc) @ vec(_shaped(x, mc.d, mc.m, "input"))
-    return np.ascontiguousarray(unvec(image, mc.d**mc.m))
+    """Image of x, d^m x d^m, gathered with the bits of a sum of permuted slot embeddings."""
+    m, d = mc.m, mc.d
+    x = _shaped(x, d, m, "input")
+    source, target = _gather(m, d)
+    values = np.concatenate([vec(x), [np.trace(x), 0]])[source]
+    inner = sum(mc.lam[:, j, None] * values[j] for j in range(m + 1))
+    out = np.zeros(d ** (2 * m), dtype=np.complex128)
+    for positions, terms in zip(target, inner):
+        out[positions] += terms
+    return out.reshape(d**m, d**m)
 
 
 def realize_multi_superoperator(mc: MultiCopyCoefficients) -> np.ndarray:
     """d^(2m) x d^2 matrix M with M @ vec(X) == vec(apply_multi(mc, X)).
 
     Weights are summed per permutation in generator order, then across
-    permutations in order.
+    permutations in order, as apply_multi sums them.
     """
     return _realize(mc.lam, mc.m, mc.d)
 

@@ -26,6 +26,7 @@ solves over the same generator positions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,17 @@ class CovariantCoefficients:
     def max_magnitude(self) -> float:
         return float(np.abs(self.as_array()).max())
 
+    @functools.cached_property
+    def _gauge_reduced(self) -> CovariantCoefficients:
+        if self.d >= 3:
+            return self
+        arr = self.as_array()
+        overlap = np.vdot(GAUGE_DIRECTION, arr)
+        arr = arr - (overlap / 6.0) * GAUGE_DIRECTION
+        return CovariantCoefficients(self.d, tuple(arr))
 
+
+@functools.lru_cache(maxsize=None)
 def virtual_broadcast_coefficients(d: int) -> CovariantCoefficients:
     """The symmetrized broadcaster (0, 0, 1/2, 1/2, 0, 0)."""
     return CovariantCoefficients(d, (0, 0, 0.5, 0.5, 0, 0))
@@ -166,13 +177,8 @@ def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
 
 
 def gauge_reduce(c: CovariantCoefficients) -> CovariantCoefficients:
-    """Canonical representative: unchanged for d >= 3, min-norm at d = 2."""
-    if c.d >= 3:
-        return c
-    arr = c.as_array()
-    overlap = np.vdot(GAUGE_DIRECTION, arr)
-    arr = arr - (overlap / 6.0) * GAUGE_DIRECTION
-    return CovariantCoefficients(c.d, tuple(arr))
+    """Canonical representative, kept on the vector: unchanged for d >= 3, min-norm at d = 2."""
+    return c._gauge_reduced
 
 
 def maps_equal(
@@ -181,11 +187,7 @@ def maps_equal(
     """Whether two coefficient vectors realize the same map."""
     if a.d != b.d:
         raise DimensionError(f"dimension mismatch {a.d} vs {b.d}")
-    return _reduced_gap(gauge_reduce(a), gauge_reduce(b), tol)[1]
-
-
-def _reduced_gap(a: CovariantCoefficients, b: CovariantCoefficients, tol: Tolerance):
-    """Largest weight gap of two gauge-reduced vectors, and the maps_equal verdict on them."""
-    da, db = a.as_array(), b.as_array()
-    gap = np.abs(da - db).max()
-    return float(gap), bool(gap <= tol.bound(max(np.abs(da).max(), np.abs(db).max())))
+    da = gauge_reduce(a).as_array()
+    db = gauge_reduce(b).as_array()
+    scale = max(np.abs(da).max(), np.abs(db).max())
+    return bool(np.abs(da - db).max() <= tol.bound(scale))

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmap.classify import (
-    ClassificationReport,
     _choi_spectrum,
-    _self_adjoint_violation,
-    broadcast_residual,
     classical_broadcast,
     classify,
     commutant_fit,
@@ -20,7 +18,6 @@ from covmap.classify import (
     is_positive,
     is_self_adjoint,
     is_virtual_broadcaster,
-    positivity_margin,
     satisfies_broadcast,
 )
 from covmap.linalg import (
@@ -33,6 +30,7 @@ from covmap.linalg import (
     partial_trace,
     vec,
 )
+from covmap import twocopy
 from covmap.operators import haar_unitary, matrix_unit, substream, swap_operator
 from covmap.twocopy import (
     GAUGE_DIRECTION,
@@ -223,7 +221,7 @@ def test_cp_with_trace_terms_matches_dense_choi():
 def test_choi_spectrum_is_the_dense_spectrum(d, parts):
     c = CovariantCoefficients(d, tuple(complex(parts[2 * k], parts[2 * k + 1]) for k in range(6)))
     dense = dense_choi_eigenvalues(c)
-    closed = _choi_spectrum(gauge_reduce(c))
+    closed = _choi_spectrum(c)
     gaps = np.abs(dense[:, None] - closed[None, :])
     scale = max(1.0, np.abs(dense).max())
     assert gaps.min(axis=1).max() <= 1e-10 * scale
@@ -431,47 +429,42 @@ def test_classify_report_implications_hold_on_random_vectors():
             assert rep.permutation_invariant and rep.classically_consistent
 
 
-def _predicate_report(c, tol=DEFAULT_TOL):
-    """The report assembled from the public predicates, each reducing its own input."""
-    sa = is_self_adjoint(c, tol)
-    cp = is_cp(c, tol)
-    target = gauge_reduce(virtual_broadcast_coefficients(c.d)).as_array()
-    evidence = {
-        "self_adjoint_violation": float(_self_adjoint_violation(gauge_reduce(c))),
-        "positivity_margin": positivity_margin(c) if sa else None,
-        "cp_witness": cp.witness,
-        "cp_holds": cp.is_cp,
-        "broadcast_residual": broadcast_residual(c),
-        "virtual_broadcaster_distance": float(np.abs(gauge_reduce(c).as_array() - target).max()),
-    }
-    return ClassificationReport(
-        d=c.d,
-        coefficients=c,
-        self_adjoint=sa,
-        positive=is_positive(c, tol),
-        completely_positive=cp.status,
-        broadcasting=satisfies_broadcast(c, tol),
-        permutation_invariant=is_permutation_invariant(c, tol),
-        classically_consistent=is_classically_consistent(c, tol),
-        virtual_broadcaster=is_virtual_broadcaster(c, tol),
-        evidence=evidence,
-    )
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_classify_report_is_bit_identical_to_the_public_predicates(d):
-    # classify reduces the weights once; every field and every evidence float
-    # must still carry the bits the predicates give one by one.
-    rng = np.random.default_rng(40 + d)
+def _report_vectors(d, rng):
     vectors = [virtual_broadcast_coefficients(d).coeffs, (1, 1, 0, 0, 0, 0)]
     for _ in range(100):
         w = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
         adjoint = (w[0].real, w[1].real, w[2], np.conj(w[2]), w[4].real, w[5].real)
         vectors += [tuple(w), adjoint, adjoint[:4] + (0, 0)]
-    for v in vectors:
-        c = CovariantCoefficients(d, tuple(v))
-        for tol in (DEFAULT_TOL, TIGHT):
-            assert repr(classify(c, tol)) == repr(_predicate_report(c, tol))
+    return [CovariantCoefficients(d, tuple(v)) for v in vectors]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_classify_report_is_bit_identical_with_a_reduction_per_call(d, monkeypatch):
+    # The report shares one gauge reduction; reducing a fresh copy on every
+    # call, as each predicate once did, must give the same bits everywhere.
+    vectors = _report_vectors(d, np.random.default_rng(40 + d))
+    tols = (DEFAULT_TOL, TIGHT)
+    shared = [repr(classify(c, tol)) for c in vectors for tol in tols]
+
+    def fresh(c):
+        return CovariantCoefficients(c.d, c.coeffs)._gauge_reduced
+
+    for module in (twocopy, importlib.import_module("covmap.classify")):
+        monkeypatch.setattr(module, "gauge_reduce", fresh)
+    assert [repr(classify(c, tol)) for c in vectors for tol in tols] == shared
+
+
+def test_classify_reduces_the_weights_once(monkeypatch):
+    prop = CovariantCoefficients.__dict__["_gauge_reduced"]
+    reduced = []
+    reduce = prop.func
+    monkeypatch.setattr(prop, "func", lambda c: reduced.append(c) or reduce(c))
+    gauge_reduce(virtual_broadcast_coefficients(2))  # kept for the process
+    c = CovariantCoefficients(2, (1, 2, 0.3, 0.3j, 0.1, -0.2))
+    reduced.clear()
+    classify(c)
+    assert len(reduced) == 1 and reduced[0] is c
+    assert gauge_reduce(c) is gauge_reduce(c)
 
 
 def test_classify_cp_tag_reflects_trace_terms():

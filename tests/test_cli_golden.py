@@ -30,21 +30,13 @@ back as the generating weight, 0.21462248176518917 -> 0.2146224817651891
 and 2.174836592768272 -> 2.1748365927682722, and ``residual`` moved
 1.692862592547962e-15 -> 0.0.
 
-``twirl.json`` and ``multicopy-apply.json`` were recaptured by the commit
-that reads every operator norm from the top eigenvalue of a Gram matrix
-and applies an m-copy map as its realized superoperator ("Top singular
-values from the Gram matrix"):
-
-* ``twirl.json``: ``deviation_after`` moved 0.0917712434112658 ->
-  0.09177124341126582 (a covariance defect, now sqrt(lambda_max) of a
-  Gram matrix instead of an SVD); nothing else changed.
-* ``multicopy-apply.json``: the image is now sum_k M[:, k] vec(x)[k]
-  instead of a sum of weighted slot embeddings, so six of the 81 entries
-  moved by one ulp: ``data[10][0]`` and ``data[30][0]``
-  -3.629276516063312 -> -3.6292765160633125, ``data[24][0]`` and
-  ``data[52][0]`` 1.9187793151469943 -> 1.918779315146994, and
-  ``data[56][1]`` and ``data[68][1]`` 5.8110149921281025 ->
-  5.811014992128102.
+``twirl.json`` was recaptured by the commit that reads every operator
+norm from the top eigenvalue of a Gram matrix ("Top singular values from
+the Gram matrix"): ``deviation_after`` moved 0.0917712434112658 ->
+0.09177124341126582 (a covariance defect, now sqrt(lambda_max) of a Gram
+matrix instead of an SVD); nothing else changed.  The gathered
+``apply_multi`` of that commit keeps ``multicopy-apply.json`` byte for
+byte.
 """
 
 from pathlib import Path

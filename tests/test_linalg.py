@@ -200,6 +200,19 @@ def test_operator_norm_keeps_the_svd_range(scale):
     assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=16 * EPS)
 
 
+def test_in_range_matrices_get_the_plain_gram_bits():
+    # Scaling is only tried after a top eigenvalue leaves the safe range, and
+    # then leaves every in-range matrix of the stack as it is.
+    rng = np.random.default_rng(9)
+    a = _rand(rng, 9, 4)
+    plain = np.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1])
+    assert _top_singular_values(a) == plain
+    for far in (1e-200, 1e200):
+        got = _top_singular_values(np.stack([a, a * far]))
+        assert got[0] == plain
+        assert abs(got[1] - plain * far) <= 16 * EPS * plain * far
+
+
 def test_hs_inner_identity_and_swap():
     for d in (2, 3):
         s = swap_operator(d)

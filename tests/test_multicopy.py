@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -410,13 +411,26 @@ def test_kernel_matches_loop_references(m, d):
         noisy = sup + 1e-3 * rng.standard_normal(sup.shape)
         got = covariance_residual_multi(noisy, m, d, samples=2, seed=5)
         assert got == pytest.approx(_loop_defect(noisy, m, d, 2, 5), rel=1e-12)
-    # apply_multi is the realized product: the loop's terms in another
-    # order, so equal to rounding, and C-ordered like the loop's image.
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x[rng.random(x.shape) < 0.3] = 0.0
     image = apply_multi(mc, x)
-    bound = 256 * np.finfo(float).eps * np.abs(lam).sum() * d * np.abs(x).max()
     assert image.flags.c_contiguous
-    assert np.abs(image - _loop_apply(mc, x)).max() <= bound
+    assert image.tobytes() == _loop_apply(mc, x).tobytes()
+
+
+def test_apply_multi_at_the_size_cap_realizes_nothing():
+    # The realized superoperator alone would take 268 MB at (m, d) = (2, 16).
+    rng = np.random.default_rng(16)
+    mc = MultiCopyCoefficients(2, 16, rng.standard_normal((2, 3)))
+    x = rng.standard_normal((16, 16))
+    tracemalloc.start()
+    try:
+        image = apply_multi(mc, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert image.tobytes() == _loop_apply(mc, x).tobytes()
 
 
 def _stacked_svd_defect(sup, m, d, samples, seed):

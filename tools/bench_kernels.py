@@ -1,9 +1,9 @@
 """Per-kernel timings: operator-norm residuals, m-copy kernels, covariance defect.
 
-    python3 tools/bench_kernels.py --out BENCH.json [--repeat 5]
+    python3 tools/bench_kernels.py --out BENCH.json
 
 Run from the root of a covmap checkout; the package is imported from its
-``src/``.  Each record is the best of ``--repeat`` calls of one kernel on
+``src/``.  Each record is the best of REPEAT calls of one kernel on
 fixed seeded input, after one warm-up call, in milliseconds: the best call
 reads the kernel's own cost rather than the load of a shared host.  The
 file opens with an environment stamp (numpy, BLAS, thread variables, CPU
@@ -44,6 +44,8 @@ from covmap.twocopy import (  # noqa: E402
 # The (m, d) shapes of the multicopy_tables workload in perfbench/.
 MULTICOPY_MD = ((2, 3), (2, 6), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4))
 COVRES_SAMPLES = 4
+REPEAT = 7  # timed calls per kernel; the best one is kept
+SEED = 0  # of the generated inputs
 NOISE = 1e-3  # keeps every residual and defect away from an exact zero
 
 
@@ -60,10 +62,10 @@ def stamp() -> dict:
     }
 
 
-def best_ms(call, repeat: int) -> float:
+def best_ms(call) -> float:
     call()
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
@@ -102,19 +104,15 @@ def cases(rng: np.random.Generator):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
-    parser.add_argument("--repeat", type=int, default=5, help="timed calls per kernel (best one kept)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the generated inputs")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     records = []
-    for kernel, m, d, call in cases(np.random.default_rng(args.seed)):
-        records.append({"kernel": kernel, "m": m, "d": d, "best_ms": round(best_ms(call, args.repeat), 4)})
+    for kernel, m, d, call in cases(np.random.default_rng(SEED)):
+        records.append({"kernel": kernel, "m": m, "d": d, "best_ms": round(best_ms(call), 4)})
         print(f"{kernel:28s} m={m} d={d} {records[-1]['best_ms']:10.3f} ms", file=sys.stderr)
     record = {
         "environment": stamp(),
-        "repeat": args.repeat,
-        "seed": args.seed,
+        "repeat": REPEAT,
+        "seed": SEED,
         "covariance_residual_multi_samples": COVRES_SAMPLES,
         "covariance_deviation_samples": 20,
         "kernels": records,
