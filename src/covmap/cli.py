@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import serialize
 from .classify import classify
@@ -33,9 +33,11 @@ from .norms import TraceTermsError, cb_norm
 from .operators import _check_samples
 from .serialize import SchemaError
 from .twirl import twirl
-from .twocopy import extract, fit_coefficients
+from .twocopy import _recover, extract, fit_coefficients
 
-__all__ = ["main"]
+# extract and fit_coefficients are re-exported, not called (_recover picks one):
+# perfbench/run.py wraps them on this module by name when it traces the CLI.
+__all__ = ["main", "extract", "fit_coefficients"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -94,10 +96,10 @@ def _settings_from(args: argparse.Namespace) -> _Settings:
     s = _Settings()
     for key, value in _load_config().items():
         setattr(s, key, value)
-    for key in ("tol_abs", "tol_rel", "samples", "seed", "d", "format", "out"):
-        value = getattr(args, key, None)
+    for field in fields(_Settings):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(s, key, value)
+            setattr(s, field.name, value)
     if s.format not in ("json", "text"):
         raise SchemaError(f"unknown output format {s.format!r}")
     _check_samples(s.samples)  # a ValueError, so exit 2 before any draw
@@ -119,11 +121,16 @@ def _infer_d(cols: int) -> int:
     return d
 
 
-def _load_two_copy_map(obj, settings: _Settings):
-    """Coefficients either direct or extracted from a superoperator matrix.
+def _superoperator(obj, settings: _Settings):
+    """A two-copy superoperator and its d (--d, else from the column count), within the cap."""
+    superop = serialize.matrix_from_obj(obj)
+    d = settings.d if settings.d is not None else _infer_d(superop.shape[1])
+    _check_desk(2, d)
+    return superop, d
 
-    Returns (coefficients, extraction_residual or None).
-    """
+
+def _load_two_copy_map(obj, settings: _Settings):
+    """(coefficients, None) from a weight object, (coefficients, residual) from a matrix."""
     if isinstance(obj, dict) and "coeffs" in obj:
         c = serialize.coefficients_from_obj(obj)
         if settings.d is not None and settings.d != c.d:
@@ -131,12 +138,7 @@ def _load_two_copy_map(obj, settings: _Settings):
         _check_desk(2, c.d)
         return c, None
     if isinstance(obj, dict) and "rows" in obj:
-        superop = serialize.matrix_from_obj(obj)
-        d = settings.d if settings.d is not None else _infer_d(superop.shape[1])
-        _check_desk(2, d)
-        if d >= 3:
-            return extract(superop, d, settings.tol)
-        return fit_coefficients(superop, d)
+        return _recover(*_superoperator(obj, settings), settings.tol)
     raise SchemaError("expected a coefficients or matrix object")
 
 
@@ -165,65 +167,58 @@ def _emit(obj, settings: _Settings) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
+# Each subcommand maps (args, settings) to the JSON object main emits.
+def _classify(args: argparse.Namespace, settings: _Settings) -> dict:
     c, residual = _load_two_copy_map(_read_json(args.input), settings)
     report = serialize.classification_report_to_obj(classify(c, settings.tol))
     if residual is not None:
         report["extraction_residual"] = float(residual)
-    _emit(report, settings)
-    return EXIT_OK
+    return report
 
 
-def _cmd_norm(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
+def _norm(args: argparse.Namespace, settings: _Settings) -> dict:
     c, _ = _load_two_copy_map(_read_json(args.input), settings)
     result = cb_norm(c, samples=settings.samples, seed=settings.seed, tol=settings.tol)
-    _emit(serialize.cb_norm_result_to_obj(result), settings)
-    return EXIT_OK
+    return serialize.cb_norm_result_to_obj(result)
 
 
-def _cmd_twirl(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
+def _twirl(args: argparse.Namespace, settings: _Settings) -> dict:
     obj = _read_json(args.input)
     if not (isinstance(obj, dict) and "rows" in obj):
         raise SchemaError("twirl expects a superoperator matrix object")
-    superop = serialize.matrix_from_obj(obj)
-    d = settings.d if settings.d is not None else _infer_d(superop.shape[1])
-    _check_desk(2, d)
+    superop, d = _superoperator(obj, settings)
     result = twirl(superop, d, samples=settings.samples, seed=settings.seed, tol=settings.tol)
-    _emit(serialize.twirl_result_to_obj(result), settings)
-    return EXIT_OK
+    return serialize.twirl_result_to_obj(result)
 
 
-def _cmd_multicopy(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
+def _multicopy(args: argparse.Namespace, settings: _Settings) -> dict:
     if args.action == "apply":
+        if args.matrix is None:
+            raise SchemaError("multicopy apply needs a matrix file")
         mc = serialize.multicopy_from_obj(_read_json(args.input))
         x = serialize.matrix_from_obj(_read_json(args.matrix))
-        _emit(serialize.matrix_to_obj(apply_multi(mc, x)), settings)
-        return EXIT_OK
+        return serialize.matrix_to_obj(apply_multi(mc, x))
     if settings.d is None or args.m is None:
         raise SchemaError(f"multicopy {args.action} needs --m and --d")
+    matrix = serialize.matrix_from_obj(_read_json(args.input))
     if args.action == "extract":
-        superop = serialize.matrix_from_obj(_read_json(args.input))
-        mc, residual = extract_multi(superop, args.m, settings.d, settings.tol)
-        _emit(
-            {"coefficients": serialize.multicopy_to_obj(mc), "residual": float(residual)},
-            settings,
-        )
-        return EXIT_OK
-    t = serialize.matrix_from_obj(_read_json(args.input))
-    fit = schur_weyl_fit(t, args.m, settings.d)
-    _emit(
-        {
-            "coefficients": [[float(z.real), float(z.imag)] for z in fit.coefficients],
-            "residual": float(fit.residual),
-            "degenerate": fit.degenerate,
-        },
-        settings,
-    )
-    return EXIT_OK
+        mc, residual = extract_multi(matrix, args.m, settings.d, settings.tol)
+        return {"coefficients": serialize.multicopy_to_obj(mc), "residual": float(residual)}
+    fit = schur_weyl_fit(matrix, args.m, settings.d)
+    return {
+        "coefficients": [[float(z.real), float(z.imag)] for z in fit.coefficients],
+        "residual": float(fit.residual),
+        "degenerate": fit.degenerate,
+    }
+
+
+# (name, help, input help, handler) of the subcommands that read one file.
+_TWO_COPY_INPUT = "coefficients or superoperator JSON file"
+_ONE_FILE_FORMS = (
+    ("classify", "structural verdicts for a two-copy map", _TWO_COPY_INPUT, _classify),
+    ("norm", "cb norm of a trace-free two-copy map", _TWO_COPY_INPUT, _norm),
+    ("twirl", "Haar-average a superoperator", "superoperator JSON file", _twirl),
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -242,21 +237,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze maps covariant under simultaneous unitary conjugation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="structural verdicts for a two-copy map")
-    p.add_argument("input", help="coefficients or superoperator JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("norm", help="cb norm of a trace-free two-copy map")
-    p.add_argument("input", help="coefficients or superoperator JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("twirl", help="Haar-average a superoperator")
-    p.add_argument("input", help="superoperator JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_twirl)
+    for name, help_text, input_help, handler in _ONE_FILE_FORMS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", help=input_help)
+        _add_common(p)
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("multicopy", help="m-copy apply/extract/fit")
     p.add_argument("action", choices=("apply", "extract", "fit"))
@@ -264,8 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", nargs="?", help="input matrix JSON file (apply only)")
     p.add_argument("--m", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_multicopy)
-
+    p.set_defaults(func=_multicopy)
     return parser
 
 
@@ -276,12 +260,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "multicopy" and args.action == "apply" and args.matrix is None:
-            raise SchemaError("multicopy apply needs a matrix file")
-        return args.func(args)
+        settings = _settings_from(args)
+        _emit(args.func(args, settings), settings)
     except ValueError as exc:
         print(f"covmap: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

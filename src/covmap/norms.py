@@ -26,7 +26,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, operator_norm
 from .operators import _BLOCK, _check_samples, _gaussian_hermitians, _haar_unitaries
-from .twocopy import CovariantCoefficients, apply_map
+from .twocopy import GAUGE_DIRECTION, CovariantCoefficients, apply_map
 
 __all__ = [
     "TraceTermsError",
@@ -43,10 +43,19 @@ class TraceTermsError(ValueError):
     """Raised when trace-term weights are present but must vanish."""
 
 
-def _require_trace_free(c: CovariantCoefficients, tol: Tolerance) -> None:
+def _trace_free(c: CovariantCoefficients, tol: Tolerance) -> CovariantCoefficients:
+    """The representative of c without trace terms; TraceTermsError if the map has them.
+
+    At d = 2 the gauge moves c5 and c6 oppositely, so only c5 + c6 belongs to
+    the map; the representative is then c + c5 g.  Otherwise c is returned.
+    """
     c5, c6 = c.coeffs[4], c.coeffs[5]
-    if max(abs(c5), abs(c6)) > tol.bound(max(1.0, c.max_magnitude())):
+    trace = abs(c5 + c6) if c.d == 2 else max(abs(c5), abs(c6))
+    if trace > tol.bound(max(1.0, c.max_magnitude())):
         raise TraceTermsError("trace-term weights must vanish for norm analysis")
+    if c.d > 2 or c5 == 0:
+        return c
+    return CovariantCoefficients(2, tuple(c.as_array() + c5 * GAUGE_DIRECTION))
 
 
 def corner_coefficients(c: CovariantCoefficients) -> tuple[complex, complex, complex, complex]:
@@ -71,7 +80,7 @@ def psi_identity_norm(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) ->
     (c1+c2) +- (c3+c4); the direct operator norm is evaluated too and the
     two must agree, as an internal consistency check.
     """
-    _require_trace_free(c, tol)
+    c = _trace_free(c, tol)
     c1, c2, c3, c4, _, _ = c.coeffs
     value = max(abs(c1 + c2 + c3 + c4), abs(c1 + c2 - c3 - c4))
     direct = operator_norm(apply_map(c, np.eye(c.d)))
@@ -125,7 +134,7 @@ def monte_carlo_norm(
     Image norms come from the probes' eigenvalues (``_spectral_norms``);
     the probe set is unchanged, drawn 2 * _BLOCK at a time.
     """
-    _require_trace_free(c, tol)
+    c = _trace_free(c, tol)
     _check_samples(samples)
     d = c.d
     best = _spectral_norms(c, np.ones((1, d)))[0]
@@ -162,7 +171,7 @@ def cb_norm(
     tol: Tolerance = DEFAULT_TOL,
 ) -> CbNormResult:
     """Completely bounded norm of a trace-free map, exact when possible."""
-    _require_trace_free(c, tol)
+    c = _trace_free(c, tol)
     c1, c2, c3, c4, _, _ = c.coeffs
     scale = max(1.0, c.max_magnitude())
     thr = tol.bound(scale)

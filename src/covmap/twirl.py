@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .multicopy import _covariance_defect
 from .operators import _BLOCK, _check_samples, _haar_unitaries, _shaped
-from .twocopy import CovariantCoefficients, extract, fit_coefficients
+from .twocopy import CovariantCoefficients, _recover
 
 __all__ = [
     "TwirlResult",
@@ -116,7 +116,7 @@ def twirl(
     avg = _haar_average(superop, d, samples, seed, _superoperator_axes)
     dev_before = covariance_deviation(superop, d, deviation_samples, seed)
     dev_after = covariance_deviation(avg, d, deviation_samples, seed)
-    coeffs, residual = extract(avg, d, tol) if d >= 3 else fit_coefficients(avg, d)
+    coeffs, residual = _recover(avg, d, tol)
     return TwirlResult(coeffs, residual, samples, seed, dev_before, dev_after, avg)
 
 

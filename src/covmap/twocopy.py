@@ -176,6 +176,11 @@ def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
     return c, residual
 
 
+def _recover(superop, d: int, tol: Tolerance) -> tuple[CovariantCoefficients, float]:
+    """Weights and residual of a superoperator: the kernel read at d >= 3, the fit at d = 2."""
+    return extract(superop, d, tol) if d >= 3 else fit_coefficients(superop, d)
+
+
 def gauge_reduce(c: CovariantCoefficients) -> CovariantCoefficients:
     """Canonical representative, kept on the vector: unchanged for d >= 3, min-norm at d = 2."""
     return c._gauge_reduced

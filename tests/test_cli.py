@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from covmap.twocopy import (
     realize_superoperator,
     virtual_broadcast_coefficients,
 )
+from test_cli_golden import criterion_12_invocations
 
 
 def write(path, obj):
@@ -336,3 +338,64 @@ def test_samples_config_out_of_range_exits_2_before_any_draw(
     f = _sampling_input(tmp_path, command)
     assert main([command, f]) == 2
     assert "2**40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["multicopy", "apply", "{mc}", "{x2}"], "input"),
+        (["multicopy", "extract", "{x8}", "--m", "2", "--d", "3"], "superoperator"),
+        (["multicopy", "fit", "{x8}", "--m", "2", "--d", "3"], "operator"),
+    ],
+)
+def test_multicopy_shape_mismatch_exits_3(tmp_path, capsys, argv, kind):
+    weights = MultiCopyCoefficients(2, 3, np.zeros((2, 3)))
+    files = {
+        "mc": write(tmp_path / "mc.json", multicopy_to_obj(weights)),
+        "x2": write(tmp_path / "x2.json", matrix_to_obj(np.zeros((2, 2)))),
+        "x8": write(tmp_path / "x8.json", matrix_to_obj(np.zeros((8, 8)))),
+    }
+    assert main([arg.format(**files) for arg in argv]) == 3
+    shape = "(2, 2)" if kind == "input" else "(8, 8)"
+    assert f"{kind} shape {shape} does not match m=2, d=3" in capsys.readouterr().err
+
+
+def _count_leaves(obj):
+    if isinstance(obj, (dict, list)):
+        return sum(map(_count_leaves, obj.values() if isinstance(obj, dict) else obj))
+    return 1
+
+
+def _leaf(obj, key):
+    """The value at a flattened key such as ``coefficients.coeffs[0][1]``."""
+    for name, index in re.findall(r"([^.\[\]]+)|\[(\d+)\]", key):
+        obj = obj[name] if name else obj[int(index)]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["classify", "norm-bracket", "twirl", "multicopy-apply", "multicopy-extract", "multicopy-fit"],
+)
+def test_format_text_holds_every_json_leaf(name, tmp_path, capsys):
+    argv = criterion_12_invocations(tmp_path)[name]
+    assert main(argv) == 0
+    as_json = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--format", "text"]) == 0
+    keys = []
+    for line in capsys.readouterr().out.splitlines():
+        key, value = re.fullmatch(r"([\w.\[\]]+) = (.+)", line).groups()
+        assert json.loads(value) == _leaf(as_json, key)
+        keys.append(key)
+    assert len(set(keys)) == len(keys) == _count_leaves(as_json) > 0
+
+
+@pytest.mark.parametrize("as_matrix", [False, True])
+def test_norm_at_d2_accepts_weights_and_their_superoperator(tmp_path, capsys, as_matrix):
+    # the d = 2 fit returns a representative with c5 = -c6 != 0; it is the same trace-free map
+    c = CovariantCoefficients(2, (1, 0.5, 0.2, 0.1, 0, 0))
+    obj = matrix_to_obj(realize_superoperator(c)) if as_matrix else coefficients_to_obj(c)
+    assert main(["norm", write(tmp_path / "in.json", obj), "--samples", "200"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["method"], out["value_kind"]) == ("monte-carlo", "lower_bound")
+    assert out["value"] == pytest.approx(1.8, rel=1e-12)

@@ -15,7 +15,14 @@ from covmap.norms import (
     psi_identity_norm,
 )
 from covmap.operators import _BLOCK, gaussian_hermitian, haar_unitary, substream, swap_operator
-from covmap.twocopy import CovariantCoefficients, apply_map, virtual_broadcast_coefficients
+from covmap.twocopy import (
+    GAUGE_DIRECTION,
+    CovariantCoefficients,
+    apply_map,
+    fit_coefficients,
+    realize_superoperator,
+    virtual_broadcast_coefficients,
+)
 
 
 def test_psi_identity_norm_examples():
@@ -310,3 +317,55 @@ def test_virtual_broadcaster_cb_norm_is_one():
         res = cb_norm(virtual_broadcast_coefficients(d))
         assert res.value_kind == "exact"
         assert res.value == pytest.approx(1.0)
+
+
+# One weight vector per cascade branch at d = 2: swap-symmetric, corner
+# exact, corner bracket, Monte-Carlo.
+D2_TRACE_FREE = [(1, 1, 0.5, 0.5), (2, 1, 2, 1), (1, -1, 1, -1), (1, 0.5, 0.2, 0.1)]
+
+
+def _close(a, b):
+    if isinstance(a, tuple):
+        return all(x == pytest.approx(y, rel=1e-12, abs=1e-12) for x, y in zip(a, b))
+    return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("weights", D2_TRACE_FREE)
+@pytest.mark.parametrize("t", [0.2, -1.5, 0.3 - 0.7j])
+def test_cb_norm_at_d2_does_not_depend_on_the_gauge(weights, t):
+    # c + t g realizes the same map as c at d = 2 although its c5 = -t, c6 = t
+    c = CovariantCoefficients(2, (*weights, 0, 0))
+    shifted = CovariantCoefficients(2, tuple(c.as_array() + t * GAUGE_DIRECTION))
+    want, got = cb_norm(c, samples=40, seed=3), cb_norm(shifted, samples=40, seed=3)
+    assert (got.value_kind, got.method) == (want.value_kind, want.method)
+    assert _close(got.value, want.value)
+    assert _close(tuple(got.detail["corner_magnitudes"]), tuple(want.detail["corner_magnitudes"]))
+    assert _close(psi_identity_norm(shifted), psi_identity_norm(c))
+    assert _close(monte_carlo_norm(shifted, 40, 3), monte_carlo_norm(c, 40, 3))
+
+
+def test_min_norm_representative_at_d2_is_analysed():
+    # fit_coefficients returns the representative orthogonal to g, with c5 = -c6 != 0
+    c = CovariantCoefficients(2, (1, 0.5, 0.2, 0.1, 0, 0))
+    fitted, _ = fit_coefficients(realize_superoperator(c), 2)
+    assert abs(fitted[4]) > 0.1
+    want, got = cb_norm(c, samples=60, seed=1), cb_norm(fitted, samples=60, seed=1)
+    assert (got.value_kind, got.method) == (want.value_kind, want.method)
+    assert want.method == "monte-carlo"
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+
+
+def test_trace_free_input_is_returned_unchanged():
+    for d, weights in ((2, (1, 0.5, 0.2, 0.1, 0, 1e-14)), (3, (1, 2, 3, 4, 0, 0))):
+        c = CovariantCoefficients(d, weights)
+        assert norms._trace_free(c, Tolerance()) is c
+
+
+def test_trace_terms_rejected_at_d2_only_on_the_gauge_invariant_sum():
+    # c5 + c6 is the trace part of the map at d = 2; c5 - c6 is gauge
+    with pytest.raises(TraceTermsError):
+        cb_norm(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, 0.25)))
+    with pytest.raises(TraceTermsError):
+        psi_identity_norm(CovariantCoefficients(2, (1, 1, 0, 0, 0, 1e-6)))
+    c = norms._trace_free(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, -0.25)), Tolerance())
+    assert c.coeffs == (1.25, 1.25, -0.25, -0.25, 0, 0)

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covmap.linalg import DimensionError, is_psd, kron, operator_norm, unvec, vec
+from covmap.linalg import DimensionError, Tolerance, is_psd, kron, operator_norm, unvec, vec
 from covmap.multicopy import from_two_copy, realize_multi_superoperator
 from covmap.operators import haar_unitary, matrix_unit, swap_operator
 from covmap.twocopy import (
     GAUGE_DIRECTION,
     CovariantCoefficients,
     GaugeAmbiguousError,
+    _recover,
     apply_map,
     basis_superoperators,
     choi_matrix,
@@ -336,3 +337,14 @@ def test_basis_superoperators_are_unit_realizations():
         for k, b in enumerate(basis_superoperators(d)):
             unit = CovariantCoefficients(d, tuple(np.eye(6)[k]))
             assert b.tobytes() == _column_loop_realize(unit).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_recover_reads_at_d3_and_up_and_fits_at_d2(d):
+    rng = np.random.default_rng(700 + d)
+    superop = realize_superoperator(_random_coeffs(rng, d))
+    superop = superop + 1e-3 * rng.standard_normal(superop.shape)
+    got, residual = _recover(superop, d, Tolerance())
+    want, want_residual = (extract if d >= 3 else fit_coefficients)(superop, d)
+    assert got.coeffs == want.coeffs
+    assert residual == want_residual

@@ -1,4 +1,4 @@
-"""Per-kernel timings: operator-norm residuals, m-copy kernels, covariance defect.
+"""Per-kernel timings: operator-norm residuals, m-copy kernels, covariance defect, CLI forms.
 
     python3 tools/bench_kernels.py --out BENCH.json
 
@@ -6,6 +6,9 @@ Run from the root of a covmap checkout; the package is imported from its
 ``src/``.  Each record is the best of REPEAT calls of one kernel on
 fixed seeded input, after one warm-up call, in milliseconds: the best call
 reads the kernel's own cost rather than the load of a shared host.  The
+six command lines of acceptance criterion 12 (``criterion_12_invocations``
+in ``tests/test_cli_golden.py``) are timed the same way, in process through
+``covmap.cli.main`` with ``--out`` to a scratch file and no COVMAP_CONFIG.  The
 file opens with an environment stamp (numpy, BLAS, thread variables, CPU
 count).  The gated end-to-end benchmark is ``perfbench/``; this script is
 not part of it and changes nothing there.
@@ -19,12 +22,17 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from covmap.cli import main as cli_main  # noqa: E402
 from covmap.linalg import operator_norm  # noqa: E402
 from covmap.multicopy import (  # noqa: E402
     MultiCopyCoefficients,
@@ -40,6 +48,7 @@ from covmap.twocopy import (  # noqa: E402
     fit_coefficients,
     realize_superoperator,
 )
+from test_cli_golden import criterion_12_invocations  # noqa: E402
 
 # The (m, d) shapes of the multicopy_tables workload in perfbench/.
 MULTICOPY_MD = ((2, 3), (2, 6), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4))
@@ -101,6 +110,18 @@ def cases(rng: np.random.Generator):
         )
 
 
+def cli_cases(tmp: Path):
+    """(form, call) for the six criterion-12 command lines, input files written to tmp."""
+    for form, argv in criterion_12_invocations(tmp).items():
+        argv = [*argv, "--out", str(tmp / "out.json")]
+
+        def call(argv=argv):
+            if cli_main(argv) != 0:
+                raise RuntimeError(f"covmap {' '.join(argv)} did not exit 0")
+
+        yield form, call
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
@@ -109,6 +130,12 @@ def main(argv=None) -> int:
     for kernel, m, d, call in cases(np.random.default_rng(SEED)):
         records.append({"kernel": kernel, "m": m, "d": d, "best_ms": round(best_ms(call), 4)})
         print(f"{kernel:28s} m={m} d={d} {records[-1]['best_ms']:10.3f} ms", file=sys.stderr)
+    os.environ.pop("COVMAP_CONFIG", None)  # the command lines run on their built-in defaults
+    cli = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for form, call in cli_cases(Path(tmp)):
+            cli.append({"form": form, "best_ms": round(best_ms(call), 4)})
+            print(f"cli {form:24s} {cli[-1]['best_ms']:10.3f} ms", file=sys.stderr)
     record = {
         "environment": stamp(),
         "repeat": REPEAT,
@@ -116,6 +143,7 @@ def main(argv=None) -> int:
         "covariance_residual_multi_samples": COVRES_SAMPLES,
         "covariance_deviation_samples": 20,
         "kernels": records,
+        "cli": cli,
     }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)
