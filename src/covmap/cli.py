@@ -178,7 +178,7 @@ def _classify(args: argparse.Namespace, settings: _Settings) -> dict:
 
 def _norm(args: argparse.Namespace, settings: _Settings) -> dict:
     c, _ = _load_two_copy_map(_read_json(args.input), settings)
-    result = cb_norm(c, samples=settings.samples, seed=settings.seed, tol=settings.tol)
+    result = cb_norm(c, tol=settings.tol)
     return serialize.cb_norm_result_to_obj(result)
 
 
@@ -216,7 +216,7 @@ def _multicopy(args: argparse.Namespace, settings: _Settings) -> dict:
 _TWO_COPY_INPUT = "coefficients or superoperator JSON file"
 _ONE_FILE_FORMS = (
     ("classify", "structural verdicts for a two-copy map", _TWO_COPY_INPUT, _classify),
-    ("norm", "cb norm of a trace-free two-copy map", _TWO_COPY_INPUT, _norm),
+    ("norm", "exact cb norm of a trace-free two-copy map", _TWO_COPY_INPUT, _norm),
     ("twirl", "Haar-average a superoperator", "superoperator JSON file", _twirl),
 )
 
@@ -224,8 +224,9 @@ _ONE_FILE_FORMS = (
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
     parser.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--samples", type=int, default=None,
+                        help="twirl sample count; norm validates it but draws nothing")
+    parser.add_argument("--seed", type=int, default=None, help="twirl seed; norm ignores it")
     parser.add_argument("--d", type=int, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("json", "text"), default=None)

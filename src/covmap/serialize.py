@@ -190,18 +190,11 @@ def classification_report_to_obj(report: ClassificationReport) -> dict:
 
 
 def cb_norm_result_to_obj(result: CbNormResult) -> dict:
-    if result.value_kind == "bracket":
-        value = {"lower": result.value[0], "upper": result.value[1]}
-    else:
-        value = result.value
     return {
         "value_kind": result.value_kind,
-        "value": value,
+        "value": result.value,
         "method": result.method,
-        "detail": {
-            key: (list(map(float, v)) if isinstance(v, (list, tuple)) else v)
-            for key, v in result.detail.items()
-        },
+        "detail": dict(result.detail),
     }
 
 

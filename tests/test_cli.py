@@ -311,7 +311,7 @@ def _sampling_input(tmp_path, command):
     if command == "twirl":
         sup = realize_superoperator(virtual_broadcast_coefficients(3))
         return write(tmp_path / "sup.json", matrix_to_obj(sup))
-    # bracket-branch weights: cb_norm samples a Monte-Carlo lower bound
+    # norm makes no draw, but its sample count is validated like twirl's
     c = CovariantCoefficients(3, (1, -1, 1, -1, 0, 0))
     return write(tmp_path / "c.json", coefficients_to_obj(c))
 
@@ -397,5 +397,5 @@ def test_norm_at_d2_accepts_weights_and_their_superoperator(tmp_path, capsys, as
     obj = matrix_to_obj(realize_superoperator(c)) if as_matrix else coefficients_to_obj(c)
     assert main(["norm", write(tmp_path / "in.json", obj), "--samples", "200"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert (out["method"], out["value_kind"]) == ("monte-carlo", "lower_bound")
+    assert (out["method"], out["value_kind"]) == ("schur-multiplier", "exact")
     assert out["value"] == pytest.approx(1.8, rel=1e-12)

@@ -37,6 +37,14 @@ the Gram matrix"): ``deviation_after`` moved 0.0917712434112658 ->
 matrix instead of an SVD); nothing else changed.  The gathered
 ``apply_multi`` of that commit keeps ``multicopy-apply.json`` byte for
 byte.
+
+``norm-bracket.json`` alone was recaptured by the commit that computes
+every cb norm exactly as a Schur-multiplier norm ("One exact cb-norm
+route"): its input (1, -1, 1, -1, 0, 0) at d = 3 was a bracket
+(3.999999578775729, 4.0) with a sampled lower end and is now ``value_kind``
+"exact", ``value`` 4.0, ``method`` "schur-multiplier"; ``detail`` drops
+``samples`` and ``seed`` and gains ``witness_angle`` pi.  The file keeps
+its name, which criterion 12 uses.
 """
 
 from pathlib import Path

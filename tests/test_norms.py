@@ -76,56 +76,58 @@ def test_corner_coefficients_direct_substitution():
 def test_cb_norm_swap_symmetric_exact():
     res = cb_norm(virtual_broadcast_coefficients(3))
     assert isinstance(res, CbNormResult)
-    assert res.value_kind == "exact"
-    assert res.method == "swap-symmetric"
-    assert res.value == pytest.approx(1.0)
+    assert (res.value_kind, res.method) == ("exact", "schur-multiplier")
+    assert res.value == pytest.approx(1.0, rel=1e-12)
 
     res = cb_norm(CovariantCoefficients(3, (1, 1, 1, 1, 0, 0)))
     assert res.value_kind == "exact"
-    assert res.value == pytest.approx(4.0)
+    assert res.value == pytest.approx(4.0, rel=1e-12)
 
     res = cb_norm(CovariantCoefficients(2, (0.5, 0.5, -2, -2, 0, 0)))
     assert res.value_kind == "exact"
     # m1 = c1+c2+c3+c4 = -3, m4 = c1+c2-c3-c4 = 5
-    assert res.value == pytest.approx(5.0)
+    assert res.value == pytest.approx(5.0, rel=1e-12)
 
 
 def test_cb_norm_variety_bracket():
-    # c1 c2 = c3 c4 but the middle corners dominate
+    # c1 c2 = c3 c4 with the off-diagonal corner dominant, corners (0, 4, 0, 0):
+    # max|m_k| = 4 bounds the norm, and the witness diag(1, -1, 1) attains it
     c = CovariantCoefficients(3, (1, -1, 1, -1, 0, 0))
-    res = cb_norm(c, samples=200, seed=5)
-    assert res.value_kind == "bracket"
-    assert res.method == "corner-compression"
-    lo, hi = res.value
-    assert hi == pytest.approx(4.0)
-    assert 2.0 <= lo <= hi + 1e-9
+    res = cb_norm(c)
+    assert (res.value_kind, res.method) == ("exact", "schur-multiplier")
+    assert res.value == 4.0
+    assert res.detail["witness_angle"] == pytest.approx(np.pi)
+    assert operator_norm(apply_map(c, np.diag([1, -1, 1]))) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_cb_norm_variety_exact_when_outer_corners_dominate():
     # c = (2, 1, 2, 1): c1 c2 = 2 = c3 c4, corners (6, 2, 0, 0)
     c = CovariantCoefficients(3, (2, 1, 2, 1, 0, 0))
     res = cb_norm(c)
-    assert res.value_kind == "exact"
-    assert res.method == "corner-compression"
-    assert res.value == pytest.approx(6.0)
+    assert (res.value_kind, res.method) == ("exact", "schur-multiplier")
+    assert res.value == pytest.approx(6.0, rel=1e-12)
+    assert res.value == pytest.approx(psi_identity_norm(c), rel=1e-12)
 
 
-def test_cb_norm_variety_test_follows_tolerance():
-    # c1 c2 - c3 c4 = -2e-6: off the variety at the default tolerance, on it at a loose one
+def test_cb_norm_is_continuous_across_the_variety():
+    # c1 c2 - c3 c4 = -2e-6: the value does not depend on which side of the variety c lies
     c = CovariantCoefficients(3, (2, 1, 2, 1 + 1e-6, 0, 0))
-    assert cb_norm(c, samples=20, seed=1).method == "monte-carlo"
-    loose = cb_norm(c, samples=20, seed=1, tol=Tolerance(abs=1e-4, rel=1e-4))
-    assert (loose.value_kind, loose.method) == ("exact", "corner-compression")
-    assert loose.value == pytest.approx(6.0, abs=1e-5)
+    for tol in (Tolerance(), Tolerance(abs=1e-4, rel=1e-4)):
+        res = cb_norm(c, tol=tol)
+        assert (res.value_kind, res.method) == ("exact", "schur-multiplier")
+        assert res.value == pytest.approx(6.0, abs=1e-5)
 
 
 def test_cb_norm_generic_lower_bound():
     c = CovariantCoefficients(3, (1, 0.3, 0.7, -0.2, 0, 0))
     res = cb_norm(c, samples=150, seed=7)
-    assert res.value_kind == "lower_bound"
-    assert res.method == "monte-carlo"
-    assert res.value >= psi_identity_norm(c) - 1e-9
-    assert res.detail["samples"] == 150
+    assert (res.value_kind, res.method) == ("exact", "schur-multiplier")
+    assert "samples" not in res.detail
+    sampled = monte_carlo_norm(c, 4000, 7)
+    assert res.value >= sampled >= psi_identity_norm(c)
+    assert res.value - sampled < 1e-6  # sampling closes in on it
+    witness = np.diag([1, np.exp(1j * res.detail["witness_angle"]), 1])
+    assert operator_norm(apply_map(c, witness)) == pytest.approx(res.value, rel=1e-12)
 
 
 def test_monte_carlo_norm_dominates_identity_value():
@@ -319,8 +321,8 @@ def test_virtual_broadcaster_cb_norm_is_one():
         assert res.value == pytest.approx(1.0)
 
 
-# One weight vector per cascade branch at d = 2: swap-symmetric, corner
-# exact, corner bracket, Monte-Carlo.
+# Weights at d = 2: swap-symmetric, on the variety c1 c2 = c3 c4 with the
+# identity corner dominant, on it with an off-diagonal corner dominant, generic.
 D2_TRACE_FREE = [(1, 1, 0.5, 0.5), (2, 1, 2, 1), (1, -1, 1, -1), (1, 0.5, 0.2, 0.1)]
 
 
@@ -336,7 +338,7 @@ def test_cb_norm_at_d2_does_not_depend_on_the_gauge(weights, t):
     # c + t g realizes the same map as c at d = 2 although its c5 = -t, c6 = t
     c = CovariantCoefficients(2, (*weights, 0, 0))
     shifted = CovariantCoefficients(2, tuple(c.as_array() + t * GAUGE_DIRECTION))
-    want, got = cb_norm(c, samples=40, seed=3), cb_norm(shifted, samples=40, seed=3)
+    want, got = cb_norm(c), cb_norm(shifted)
     assert (got.value_kind, got.method) == (want.value_kind, want.method)
     assert _close(got.value, want.value)
     assert _close(tuple(got.detail["corner_magnitudes"]), tuple(want.detail["corner_magnitudes"]))
@@ -349,10 +351,13 @@ def test_min_norm_representative_at_d2_is_analysed():
     c = CovariantCoefficients(2, (1, 0.5, 0.2, 0.1, 0, 0))
     fitted, _ = fit_coefficients(realize_superoperator(c), 2)
     assert abs(fitted[4]) > 0.1
-    want, got = cb_norm(c, samples=60, seed=1), cb_norm(fitted, samples=60, seed=1)
-    assert (got.value_kind, got.method) == (want.value_kind, want.method)
-    assert want.method == "monte-carlo"
+    want, got = cb_norm(c), cb_norm(fitted)
+    assert (got.value_kind, got.method) == (want.value_kind, want.method) == ("exact", "schur-multiplier")
     assert got.value == pytest.approx(want.value, rel=1e-12)
+    # corners (1.8, 0.6, 0.4, 1.2): the identity attains the norm, and sampling never exceeds it
+    assert want.value == pytest.approx(operator_norm(apply_map(c, np.eye(2))), rel=1e-12)
+    assert want.value == pytest.approx(1.8, rel=1e-12)
+    assert monte_carlo_norm(c, 500, 1) <= want.value * (1 + 1e-12)
 
 
 def test_trace_free_input_is_returned_unchanged():
@@ -369,3 +374,136 @@ def test_trace_terms_rejected_at_d2_only_on_the_gauge_invariant_sum():
         psi_identity_norm(CovariantCoefficients(2, (1, 1, 0, 0, 0, 1e-6)))
     c = norms._trace_free(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, -0.25)), Tolerance())
     assert c.coeffs == (1.25, 1.25, -0.25, -0.25, 0, 0)
+
+
+@pytest.mark.parametrize("t", [0.2, -1.5, 0.3 - 0.7j])
+def test_corner_coefficients_at_d2_do_not_depend_on_the_gauge(t):
+    # trace terms are allowed: c5 + c6 belongs to the map, c5 - c6 to the gauge
+    for weights in ((1, 0.5, 0.2, 0.1, 0, 0), (1, 0.5, 0.2, 0.1, 0.3, 0.4 - 1j)):
+        c = CovariantCoefficients(2, weights)
+        shifted = CovariantCoefficients(2, tuple(c.as_array() + t * GAUGE_DIRECTION))
+        assert np.abs(np.subtract(corner_coefficients(shifted), corner_coefficients(c))).max() < 1e-14
+    # the representative fit_coefficients returns for (1, 0.5, 0.2, 0.1, 0, 0)
+    fitted = CovariantCoefficients(2, (0.8, 0.3, 0.4, 0.3, 0.2, -0.2))
+    assert np.abs(np.subtract(corner_coefficients(fitted), (1.8, 0.6, 0.4, 1.2))).max() < 1e-14
+
+
+def _closed_branch_value(c, thr=1e-9):
+    """The swap-symmetric and corner-dominance closed forms where one applies, else None.
+
+    Swap-symmetric weights give a diagonal corner matrix; weights on the
+    variety c1 c2 = c3 c4 give a rank-one one, whose norm max|m_k| the
+    identity image attains when an outer corner dominates.
+    """
+    c1, c2, c3, c4 = c.coeffs[:4]
+    m1, m2, m3, m4 = (abs(m) for m in corner_coefficients(c))
+    identity = max(m1, m4)
+    if max(abs(c1 - c2), abs(c3 - c4)) <= thr:
+        return identity
+    if abs(c1 * c2 - c3 * c4) <= thr and identity >= max(m2, m3) - thr:
+        return identity
+    return None
+
+
+def test_cb_norm_equals_the_closed_branches_on_criterion_07_inputs():
+    # criterion 07's draws: 100 swap-symmetric vectors, then dominance-case variety vectors
+    rng = np.random.default_rng(107)
+    draw = lambda n: rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)  # noqa: E731
+    inputs = [CovariantCoefficients(3, (mu, mu, nu, nu, 0, 0)) for mu, nu in (draw(2) for _ in range(100))]
+    while len(inputs) < 200:
+        l1, l2, l3 = draw(3)
+        if abs(l3) < 1e-2:
+            continue
+        c = CovariantCoefficients(3, (l1, l2, l3, l1 * l2 / l3, 0, 0))
+        m1, m2, m3, m4 = corner_coefficients(c)
+        if max(abs(m1), abs(m4)) >= max(abs(m2), abs(m3)) + 1e-6:
+            inputs.append(c)
+    for c in inputs:
+        want = _closed_branch_value(c)
+        assert want is not None
+        assert cb_norm(c).value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from(["random", "swap-symmetric", "variety"]),
+)
+def test_cb_norm_is_never_below_sampling(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    if kind == "swap-symmetric":
+        w[1], w[3] = w[0], w[2]
+    if kind == "variety":
+        w[3] = w[0] * w[1] / w[2]
+    c = CovariantCoefficients(d, (*w, 0, 0))
+    assert cb_norm(c).value >= monte_carlo_norm(c, 500, seed) - 1e-12 * np.abs(w).sum()
+
+
+def _amplified_norm(c, y):
+    """||(id_d (x) Phi)(Y)|| for Y on C^d (x) C^d, from the dense image of each d x d block."""
+    d = c.d
+    blocks = y.reshape(d, d, d, d)
+    return operator_norm(np.block([[apply_map(c, blocks[a, :, b, :]) for b in range(d)] for a in range(d)]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_no_amplified_unitary_exceeds_the_cb_norm(d):
+    rng = np.random.default_rng(90 + d)
+    for _ in range(6):
+        c = CovariantCoefficients(d, (*(rng.standard_normal(4) + 1j * rng.standard_normal(4)), 0, 0))
+        res = cb_norm(c)
+        witness = np.eye(d, dtype=complex)
+        witness[1, 1] = np.exp(1j * res.detail["witness_angle"])
+        # I (x) witness is an amplified unitary that attains the value
+        assert _amplified_norm(c, np.kron(np.eye(d), witness)) == pytest.approx(res.value, rel=1e-12)
+        for _ in range(10):
+            y = haar_unitary(d * d, int(rng.integers(2**31)))
+            assert _amplified_norm(c, y) <= res.value * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_map_is_the_schur_multiplier_of_its_corner_weights(d):
+    # Phi(X) = sum_ab M_ab P_a (I (x) X) P_b with P+- = (I +- S)/2 and M the corner matrix
+    rng = np.random.default_rng(60 + d)
+    s = swap_operator(d)
+    proj = ((np.eye(d * d) + s) / 2, (np.eye(d * d) - s) / 2)
+    for _ in range(5):
+        w = np.concatenate([rng.standard_normal(4) + 1j * rng.standard_normal(4), np.zeros(2)])
+        if d == 2:  # a representative with c5 = -c6 != 0 realizes the same map
+            w = w + complex(*rng.standard_normal(2)) * GAUGE_DIRECTION
+        c = CovariantCoefficients(d, tuple(w))
+        m = np.reshape(corner_coefficients(c), (2, 2))
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        y = np.kron(np.eye(d), x)
+        schur = sum(m[a, b] * proj[a] @ y @ proj[b] for a in range(2) for b in range(2))
+        assert np.abs(schur - apply_map(c, x)).max() < 1e-12
+
+
+@pytest.mark.parametrize("s", [1e-120, 1e120])
+def test_cb_norm_scales_with_the_weights(s):
+    rng = np.random.default_rng(50)
+    for d in (2, 3, 5):
+        for w in (rng.standard_normal(4) + 1j * rng.standard_normal(4), np.array([1, -1, 1, -1])):
+            value = cb_norm(CovariantCoefficients(d, (*w, 0, 0))).value
+            scaled = cb_norm(CovariantCoefficients(d, (*(s * w), 0, 0))).value
+            assert abs(scaled - s * value) <= 1e-12 * s * value
+
+
+def _refuse_draw(*args, **kwargs):
+    raise AssertionError("random draw")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 16])
+def test_cb_norm_is_exact_without_any_draw(d, monkeypatch):
+    monkeypatch.setattr("covmap.operators._normals", _refuse_draw)
+    rng = np.random.default_rng(80 + d)
+    c = CovariantCoefficients(d, (*(rng.standard_normal(4) + 1j * rng.standard_normal(4)), 0, 0))
+    with pytest.raises(AssertionError, match="random draw"):
+        monte_carlo_norm(c, 3, 0)
+    res = cb_norm(c, samples=500, seed=3)
+    assert (res.value_kind, res.method) == ("exact", "schur-multiplier")
+    witness = np.eye(d, dtype=complex)
+    witness[1, 1] = np.exp(1j * res.detail["witness_angle"])
+    assert operator_norm(apply_map(c, witness)) == pytest.approx(res.value, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Per-kernel timings: operator-norm residuals, m-copy kernels, covariance defect, CLI forms.
+"""Per-kernel timings: two-copy and m-copy kernels, norms, covariance defect, CLI forms.
 
     python3 tools/bench_kernels.py --out BENCH.json
 
@@ -32,6 +32,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from covmap.classify import classify  # noqa: E402
 from covmap.cli import main as cli_main  # noqa: E402
 from covmap.linalg import operator_norm  # noqa: E402
 from covmap.multicopy import (  # noqa: E402
@@ -41,6 +42,7 @@ from covmap.multicopy import (  # noqa: E402
     extract_multi,
     realize_multi_superoperator,
 )
+from covmap.norms import cb_norm  # noqa: E402
 from covmap.twirl import covariance_deviation  # noqa: E402
 from covmap.twocopy import (  # noqa: E402
     CovariantCoefficients,
@@ -91,6 +93,11 @@ def cases(rng: np.random.Generator):
         c = CovariantCoefficients(d, tuple(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
         exact = realize_superoperator(c)
         sup = noisy(exact)
+        yield "realize_superoperator", 2, d, lambda c=c: realize_superoperator(c)
+        # a new weight object per call, so no cached gauge reduction is reused
+        yield "classify", 2, d, lambda c=c: classify(CovariantCoefficients(c.d, c.coeffs))
+        trace_free = CovariantCoefficients(d, (*c.coeffs[:4], 0, 0))
+        yield "cb_norm", 2, d, lambda c=trace_free: cb_norm(c)
         yield "operator_norm_residual", 2, d, lambda sup=sup, exact=exact: operator_norm(sup - exact)
         if d >= 3:
             yield "extract", 2, d, lambda sup=sup, d=d: extract(sup, d)
