@@ -1,23 +1,24 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input (a bad config file included),
-3 dimension mismatch or a problem above the desk-scale cap d**m <= 256
-(d <= 16 for two-copy maps), 4 trace terms present where the norm
-analysis forbids them, 5 weight uniqueness unavailable (multicopy
-extraction below d = m + 1).
+Exit codes: 0 success; 2 malformed input: a bad flag or config value (a
+non-finite tolerance included) or a file that cannot be read or written;
+3 dimension mismatch, a --d or --m that conflicts with a weight file, or a
+problem above the desk-scale cap d**m <= 256 (d <= 16 for two-copy maps);
+4 trace terms where the norm analysis forbids them; 5 weight uniqueness
+unavailable (multicopy extraction below d = m + 1).
 
 Defaults may be placed in a JSON file named by the COVMAP_CONFIG
-environment variable; explicit flags always win.
+environment variable; explicit flags win, and both pass the same checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import serialize
 from .classify import classify
@@ -49,30 +50,43 @@ EXIT_UNIQUENESS = 5
 _EXIT_CODES = ((UniquenessUnavailableError, EXIT_UNIQUENESS), (TraceTermsError, EXIT_TRACE_TERMS),
                (DimensionError, EXIT_DIMENSION), (ValueError, EXIT_PARSE))
 
-# Config key -> accepted JSON types; bool is never accepted as a number.
-_CONFIG_TYPES = {
-    "tol_abs": (int, float),
-    "tol_rel": (int, float),
-    "samples": int,
-    "seed": int,
-    "d": int,
-    "format": str,
+_FORMATS = ("json", "text")
+
+
+# Each common option is declared once, here, for its flag and its config key.
+class _Option(NamedTuple):
+    type: type
+    default: object
+    config: tuple = ()  # JSON types a config file may give (bool is no number); none: flag only
+    help: str | None = None
+    choices: tuple | None = None
+
+
+_OPTIONS = {
+    "tol_abs": _Option(float, 1e-9, (int, float)),
+    "tol_rel": _Option(float, 1e-9, (int, float)),
+    "samples": _Option(int, 1000, (int,),
+                       help="twirl sample count; norm validates it but draws nothing"),
+    "seed": _Option(int, 0, (int,), help="twirl seed; norm ignores it"),
+    "d": _Option(int, None, (int,)),
+    "out": _Option(str, None),
+    "format": _Option(str, "json", (str,), choices=_FORMATS),
 }
 
 
-@dataclass
-class _Settings:
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-9
-    samples: int = 1000
-    seed: int = 0
-    d: int | None = None
-    format: str = "json"
-    out: str | None = None
+@contextlib.contextmanager
+def _file(path: str, mode: str = "r"):
+    """The open text file; OSError or a decoding error, deep JSON nesting too, exits 2."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
-    @property
-    def tol(self) -> Tolerance:
-        return Tolerance(abs=self.tol_abs, rel=self.tol_rel)
+
+def _read_json(path: str):
+    with _file(path) as fh:
+        return json.load(fh)
 
 
 def _load_config() -> dict:
@@ -82,64 +96,55 @@ def _load_config() -> dict:
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise SchemaError("config file must hold a JSON object")
-    unknown = set(obj) - set(_CONFIG_TYPES)
+    unknown = sorted(key for key in obj if key not in _OPTIONS or not _OPTIONS[key].config)
     if unknown:
-        raise SchemaError(f"unknown config keys: {sorted(unknown)}")
+        raise SchemaError(f"unknown config keys: {unknown}")
     for key, value in obj.items():
-        ok = isinstance(value, _CONFIG_TYPES[key]) and not isinstance(value, bool)
-        if not ok or (isinstance(value, float) and not math.isfinite(value)):
+        if not isinstance(value, _OPTIONS[key].config) or isinstance(value, bool):
             raise SchemaError(f"config key {key!r} has invalid value {value!r}")
     return obj
 
 
-def _settings_from(args: argparse.Namespace) -> _Settings:
-    s = _Settings()
-    for key, value in _load_config().items():
-        setattr(s, key, value)
-    for field in fields(_Settings):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(s, field.name, value)
-    if s.format not in ("json", "text"):
-        raise SchemaError(f"unknown output format {s.format!r}")
-    _check_samples(s.samples)  # a ValueError, so exit 2 before any draw
-    return s
+def _settle(args: argparse.Namespace) -> None:
+    """Fill each unset common option from the config, else its default, and check each value."""
+    config = _load_config()
+    for name, option in _OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, config.get(name, option.default))
+    if args.format not in _FORMATS:
+        raise SchemaError(f"unknown output format {args.format!r}")
+    _check_samples(args.samples)  # a ValueError, so exit 2 before any load or draw
+    args.tol = Tolerance(abs=args.tol_abs, rel=args.tol_rel)  # refuses a non-finite part
 
 
-def _read_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-
-
-def _infer_d(cols: int) -> int:
-    d = round(cols**0.5)
-    if d * d != cols or d < 2:
-        raise DimensionError(f"superoperator column count {cols} is not a square d^2")
-    return d
-
-
-def _superoperator(obj, settings: _Settings):
+def _superoperator(obj, args: argparse.Namespace):
     """A two-copy superoperator and its d (--d, else from the column count), within the cap."""
+    if not (isinstance(obj, dict) and "rows" in obj):
+        raise SchemaError("expected a superoperator matrix object")
     superop = serialize.matrix_from_obj(obj)
-    d = settings.d if settings.d is not None else _infer_d(superop.shape[1])
+    cols = superop.shape[1]
+    d = args.d if args.d is not None else round(cols**0.5)
+    if args.d is None and d * d != cols:
+        raise DimensionError(f"superoperator column count {cols} is not a square d^2")
     _check_desk(2, d)
     return superop, d
 
 
-def _load_two_copy_map(obj, settings: _Settings):
+def _check_weight_file(args: argparse.Namespace, d: int, m: int = 2) -> None:
+    """Refuse a --d or --m that conflicts with a weight file, and a file above the cap."""
+    for flag, given, found in (("d", args.d, d), ("m", getattr(args, "m", None), m)):
+        if given is not None and given != found:
+            raise DimensionError(f"--{flag} {given} conflicts with file {flag}={found}")
+    _check_desk(m, d)
+
+
+def _load_two_copy_map(obj, args: argparse.Namespace):
     """(coefficients, None) from a weight object, (coefficients, residual) from a matrix."""
     if isinstance(obj, dict) and "coeffs" in obj:
         c = serialize.coefficients_from_obj(obj)
-        if settings.d is not None and settings.d != c.d:
-            raise DimensionError(f"--d {settings.d} conflicts with file d={c.d}")
-        _check_desk(2, c.d)
+        _check_weight_file(args, c.d)
         return c, None
-    if isinstance(obj, dict) and "rows" in obj:
-        return _recover(*_superoperator(obj, settings), settings.tol)
-    raise SchemaError("expected a coefficients or matrix object")
+    return _recover(*_superoperator(obj, args), args.tol)
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
@@ -153,58 +158,56 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
         lines.append(f"{prefix} = {json.dumps(obj)}")
 
 
-def _emit(obj, settings: _Settings) -> None:
-    if settings.format == "json":
+def _emit(obj, args: argparse.Namespace) -> None:
+    if args.format == "json":
         text = serialize.dumps(obj)
     else:
         lines: list[str] = []
         _flatten("", obj, lines)
         text = "\n".join(lines) + "\n"
-    if settings.out:
-        with open(settings.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with _file(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-# Each subcommand maps (args, settings) to the JSON object main emits.
-def _classify(args: argparse.Namespace, settings: _Settings) -> dict:
-    c, residual = _load_two_copy_map(_read_json(args.input), settings)
-    report = serialize.classification_report_to_obj(classify(c, settings.tol))
+# Each subcommand maps its settled arguments to the JSON object main emits.
+def _classify(args: argparse.Namespace) -> dict:
+    c, residual = _load_two_copy_map(_read_json(args.input), args)
+    report = serialize.classification_report_to_obj(classify(c, args.tol))
     if residual is not None:
         report["extraction_residual"] = float(residual)
     return report
 
 
-def _norm(args: argparse.Namespace, settings: _Settings) -> dict:
-    c, _ = _load_two_copy_map(_read_json(args.input), settings)
-    result = cb_norm(c, tol=settings.tol)
+def _norm(args: argparse.Namespace) -> dict:
+    c, _ = _load_two_copy_map(_read_json(args.input), args)
+    result = cb_norm(c, tol=args.tol)
     return serialize.cb_norm_result_to_obj(result)
 
 
-def _twirl(args: argparse.Namespace, settings: _Settings) -> dict:
-    obj = _read_json(args.input)
-    if not (isinstance(obj, dict) and "rows" in obj):
-        raise SchemaError("twirl expects a superoperator matrix object")
-    superop, d = _superoperator(obj, settings)
-    result = twirl(superop, d, samples=settings.samples, seed=settings.seed, tol=settings.tol)
+def _twirl(args: argparse.Namespace) -> dict:
+    superop, d = _superoperator(_read_json(args.input), args)
+    result = twirl(superop, d, samples=args.samples, seed=args.seed, tol=args.tol)
     return serialize.twirl_result_to_obj(result)
 
 
-def _multicopy(args: argparse.Namespace, settings: _Settings) -> dict:
+def _multicopy(args: argparse.Namespace) -> dict:
     if args.action == "apply":
         if args.matrix is None:
             raise SchemaError("multicopy apply needs a matrix file")
         mc = serialize.multicopy_from_obj(_read_json(args.input))
+        _check_weight_file(args, mc.d, mc.m)
         x = serialize.matrix_from_obj(_read_json(args.matrix))
         return serialize.matrix_to_obj(apply_multi(mc, x))
-    if settings.d is None or args.m is None:
+    if args.d is None or args.m is None:
         raise SchemaError(f"multicopy {args.action} needs --m and --d")
     matrix = serialize.matrix_from_obj(_read_json(args.input))
     if args.action == "extract":
-        mc, residual = extract_multi(matrix, args.m, settings.d, settings.tol)
+        mc, residual = extract_multi(matrix, args.m, args.d, args.tol)
         return {"coefficients": serialize.multicopy_to_obj(mc), "residual": float(residual)}
-    fit = schur_weyl_fit(matrix, args.m, settings.d)
+    fit = schur_weyl_fit(matrix, args.m, args.d)
     return {
         "coefficients": [[float(z.real), float(z.imag)] for z in fit.coefficients],
         "residual": float(fit.residual),
@@ -222,14 +225,9 @@ _ONE_FILE_FORMS = (
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
-    parser.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-    parser.add_argument("--samples", type=int, default=None,
-                        help="twirl sample count; norm validates it but draws nothing")
-    parser.add_argument("--seed", type=int, default=None, help="twirl seed; norm ignores it")
-    parser.add_argument("--d", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("json", "text"), default=None)
+    for name, option in _OPTIONS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=option.type,
+                            help=option.help, choices=option.choices)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -261,8 +259,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        settings = _settings_from(args)
-        _emit(args.func(args, settings), settings)
+        _settle(args)
+        _emit(args.func(args), args)
     except ValueError as exc:
         print(f"covmap: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

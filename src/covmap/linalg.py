@@ -12,6 +12,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,16 @@ class Tolerance:
     """Absolute/relative tolerance pair used by every numerical predicate.
 
     The effective threshold for a quantity living at magnitude ``scale``
-    is ``abs + rel * scale``.
+    is ``abs + rel * scale``.  Both parts lie in [0, largest float]: a NaN or
+    infinite threshold would decide every test the same way.
     """
 
     abs: float = 1e-9
     rel: float = 1e-9
 
     def __post_init__(self):
-        if self.abs < 0 or self.rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not all(0 <= t <= sys.float_info.max for t in (self.abs, self.rel)):  # NaN fails too
+            raise ValueError(f"tolerances must be finite and nonnegative: {self.abs}, {self.rel}")
 
     def bound(self, scale: float = 1.0) -> float:
         return self.abs + self.rel * float(scale)

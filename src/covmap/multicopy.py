@@ -123,7 +123,7 @@ def extract_multi(
 ) -> tuple[MultiCopyCoefficients, float]:
     """Read all weights off single entries of two probe images.
 
-    The probe entries are described on :func:`covmap.operators._read_weights`;
+    The probe entries are described on :func:`covmap.operators._probes`;
     realized weights come back exactly, and at m = 2 this is
     :func:`covmap.twocopy.extract` in table form.  Needs d >= m + 1;
     otherwise the weights are not unique and UniquenessUnavailableError is

@@ -276,32 +276,31 @@ def _realize(lam: np.ndarray, m: int, d: int) -> np.ndarray:
     return out.reshape(d ** (2 * m), d * d)
 
 
+@functools.lru_cache(maxsize=None)
+def _probes(m: int, d: int) -> np.ndarray:
+    """Flat index, per generator (i, j), of one superoperator entry only it reaches.
+
+    It is the generator's first such entry in support order, in column 0
+    (the e1 e1* image) for the trace generator or column d (the e1 e2*
+    image) for a slot generator; every generator has one iff d >= m + 1.
+    """
+    hits, flat = _scatter(m, d)
+    reached = np.bincount(flat.reshape(-1), weights=np.tile(hits.sum(axis=1), len(flat)))
+    column = np.where(np.arange(m + 1), d, 0)
+    alone = (reached[flat] == 1)[:, :, None] & hits & ((flat % (d * d))[:, :, None] == column)
+    probes = np.take_along_axis(flat, alone.argmax(axis=1), axis=1)
+    probes.setflags(write=False)
+    return probes
+
+
 def _read_weights(superop: np.ndarray, m: int, d: int) -> np.ndarray:
     """Weight table of shape (m!, m+1) read off single entries; inverse of _realize.
 
-    Probes are the images of e1 e2* (column d) and e1 e1* (column 0).  For
-    slot generator j >= 2 the e1 e2* image is read at input tensor v, with
-    e2 in slot j-1 and e3, ..., e(m+1) in the other slots in order, and at
-    the output tensors that the permutations make of v with that e2 set to
-    e1; these are distinct, so each permutation's weight sits alone.  Trace
-    weights are read in the e1 e1* image at e2 (x) ... (x) e(m+1) and its
-    permutations, which no slot term reaches.  Both reads need d >= m + 1.
-    Every entry read holds a single term of _realize, so realized weights
-    come back exactly.
+    Each weight is read at its generator's entry in _probes, which holds a
+    single term of _realize, so realized weights come back exactly.  Needs
+    d >= m + 1.
     """
-    dim, shape = d**m, (d,) * m
-    forward = np.argsort(_rows(m, d), axis=1)  # row x moves to row forward[i, x]
-    # Entry (x, c) of an image sits at c * dim + x.
-    y, z = superop[:, d], superop[:, 0]
-    lam = np.empty((len(forward), m + 1), dtype=np.complex128)
-    fillers = list(range(2, m + 1))
-    for slot in range(m):
-        v = np.ravel_multi_index(fillers[:slot] + [1] + fillers[slot:], shape)
-        w = np.ravel_multi_index(fillers[:slot] + [0] + fillers[slot:], shape)
-        lam[:, slot + 1] = y[v * dim + forward[:, w]]
-    u = np.ravel_multi_index(range(1, m + 1), shape)
-    lam[:, 0] = z[u * dim + forward[:, u]]
-    return lam
+    return superop.flat[_probes(m, d)]
 
 
 def _span_fit(target: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:

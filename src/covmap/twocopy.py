@@ -141,7 +141,7 @@ def choi_matrix(c: CovariantCoefficients) -> np.ndarray:
 def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoefficients, float]:
     """Read the six weights off single entries: the kernel read at m = 2.
 
-    The probe entries are described on :func:`covmap.operators._read_weights`;
+    The probe entries are described on :func:`covmap.operators._probes`;
     they need d >= 3, so d = 2 raises GaugeAmbiguousError (use
     :func:`fit_coefficients` there).  Returns (coefficients, residual)
     where the residual is the operator-norm distance between ``superop``

@@ -81,6 +81,15 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["classify", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert str(f) in captured.err
+    assert captured.out == ""
+
+
 def test_non_finite_weight_exits_2(tmp_path, capsys):
     f = tmp_path / "nan.json"
     f.write_text(
@@ -157,6 +166,26 @@ def test_multicopy_apply_missing_matrix_exits_2(tmp_path):
     assert main(["multicopy", "apply", f]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        ([], 0),
+        (["--d", "3", "--m", "2"], 0),
+        (["--d", "5"], 3),
+        (["--m", "4"], 3),
+        (["--d", "5", "--m", "4"], 3),
+    ],
+)
+def test_multicopy_apply_checks_d_and_m_against_the_weight_file(tmp_path, capsys, flags, code):
+    f = write(tmp_path / "mc.json", multicopy_to_obj(MultiCopyCoefficients(2, 3, np.eye(2, 3))))
+    x = write(tmp_path / "x.json", matrix_to_obj(np.eye(3)))
+    assert main(["multicopy", "apply", f, x, *flags]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "conflicts with file" in captured.err
+        assert captured.out == ""
+
+
 def test_multicopy_extract_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(60)
     lam = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -223,6 +252,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["virtual_broadcaster"] is True
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, where):
+    f = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
+    dest = str(tmp_path / "absent" / "report.json") if where == "missing-directory" else str(tmp_path)
+    assert main(["classify", f, "--out", dest]) == 2
+    captured = capsys.readouterr()
+    assert dest in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_config_file_sets_defaults(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 5, "seed": 3}), encoding="utf-8")
@@ -282,6 +322,35 @@ def test_config_accepts_integer_tolerance(tmp_path, monkeypatch, capsys):
     f = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
     assert main(["classify", f]) == 0
     assert json.loads(capsys.readouterr().out)["virtual_broadcaster"] is True
+
+
+# (1, 1, 0, 0, 0, 0) does not broadcast (residual 2), and norm refuses
+# (1, 1, 0, 0, 0.5, 0) with exit 4; a non-finite tolerance must exit 2 first.
+NON_FINITE_INPUTS = {"classify": (1, 1, 0, 0, 0, 0), "norm": (1, 1, 0, 0, 0.5, 0)}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["classify", "norm"])
+@pytest.mark.parametrize(
+    "key, literal",
+    [("tol_abs", "NaN"), ("tol_rel", "Infinity"), ("tol_abs", "1" + "0" * 400)],
+    ids=["nan", "inf", "beyond-float-range"],
+)
+def test_non_finite_tolerance_exits_2_from_flag_and_config(
+    tmp_path, monkeypatch, capsys, source, command, key, literal
+):
+    c = CovariantCoefficients(3, NON_FINITE_INPUTS[command])
+    argv = [command, write(tmp_path / "c.json", coefficients_to_obj(c))]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), literal]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {literal}}}', encoding="utf-8")
+        monkeypatch.setenv("COVMAP_CONFIG", str(cfg))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["classify", "norm", "twirl"])

@@ -126,6 +126,13 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
     hermitian_eigenvalues(a, tol=Tolerance(abs=1e-5, rel=0.0))
 
 
+@pytest.mark.parametrize("part", ["abs", "rel"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-9, 10**400])
+def test_tolerance_refuses_non_finite_or_negative_parts(part, value):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Tolerance(**{part: value})
+
+
 def test_operator_norm_examples():
     assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
     s = swap_operator(2)

@@ -22,7 +22,8 @@ from covmap.multicopy import (
 )
 from covmap.twirl import covariance_deviation, twirl_operator
 from covmap.classify import commutant_fit
-from covmap.operators import Permutation, _scatter, haar_unitary, matrix_unit, permutation_operator
+from covmap.operators import Permutation, _probes, _rows, _scatter, haar_unitary, matrix_unit
+from covmap.operators import permutation_operator
 from covmap.twocopy import (
     CovariantCoefficients,
     apply_map,
@@ -177,6 +178,33 @@ def test_extract_inverts_realize_exactly(m, d):
     got, res = extract_multi(realize_multi_superoperator(MultiCopyCoefficients(m, d, lam)), m, d)
     assert got.lam.tobytes() == lam.tobytes()
     assert res == 0.0
+
+
+def _probe_arithmetic(m, d):
+    """Flat superoperator indices of the probe entries derived by hand.
+
+    Slot generator j >= 2 is read in the e1 e2* image (column d) at input
+    tensor v, with e2 in slot j-1 and e3, ..., e(m+1) in the other slots in
+    order, and at the permuted output tensors of v with that e2 set to e1.
+    The trace generator is read in the e1 e1* image (column 0) at
+    e2 (x) ... (x) e(m+1) and its permutations.
+    """
+    dim, dd, shape = d**m, d * d, (d,) * m
+    forward = np.argsort(_rows(m, d), axis=1)  # row x moves to row forward[i, x]
+    probes = np.empty((len(forward), m + 1), dtype=np.intp)
+    fillers = list(range(2, m + 1))
+    for slot in range(m):
+        v = np.ravel_multi_index(fillers[:slot] + [1] + fillers[slot:], shape)
+        w = np.ravel_multi_index(fillers[:slot] + [0] + fillers[slot:], shape)
+        probes[:, slot + 1] = (v * dim + forward[:, w]) * dd + d
+    u = np.ravel_multi_index(range(1, m + 1), shape)
+    probes[:, 0] = (u * dim + forward[:, u]) * dd
+    return probes
+
+
+@pytest.mark.parametrize("m,d", READ_SHAPES)
+def test_probe_table_picks_the_hand_derived_entries(m, d):
+    assert _probes(m, d).tolist() == _probe_arithmetic(m, d).tolist()
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])

@@ -1,4 +1,4 @@
-"""Per-kernel timings: two-copy and m-copy kernels, norms, covariance defect, CLI forms.
+"""Per-kernel timings: two-copy and m-copy kernels, norms, twirl, CLI forms, Tier-1 time.
 
     python3 tools/bench_kernels.py --out BENCH.json
 
@@ -8,7 +8,9 @@ fixed seeded input, after one warm-up call, in milliseconds: the best call
 reads the kernel's own cost rather than the load of a shared host.  The
 six command lines of acceptance criterion 12 (``criterion_12_invocations``
 in ``tests/test_cli_golden.py``) are timed the same way, in process through
-``covmap.cli.main`` with ``--out`` to a scratch file and no COVMAP_CONFIG.  The
+``covmap.cli.main`` with ``--out`` to a scratch file and no COVMAP_CONFIG.
+Last, the Tier-1 test command (TIER1) runs once in a subprocess from the
+checkout root, and its wall time and summary line are recorded.  The
 file opens with an environment stamp (numpy, BLAS, thread variables, CPU
 count).  The gated end-to-end benchmark is ``perfbench/``; this script is
 not part of it and changes nothing there.
@@ -21,6 +23,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -43,7 +46,8 @@ from covmap.multicopy import (  # noqa: E402
     realize_multi_superoperator,
 )
 from covmap.norms import cb_norm  # noqa: E402
-from covmap.twirl import covariance_deviation  # noqa: E402
+from covmap.operators import haar_unitary  # noqa: E402
+from covmap.twirl import conjugated_superoperator, covariance_deviation  # noqa: E402
 from covmap.twocopy import (  # noqa: E402
     CovariantCoefficients,
     extract,
@@ -58,6 +62,8 @@ COVRES_SAMPLES = 4
 REPEAT = 7  # timed calls per kernel; the best one is kept
 SEED = 0  # of the generated inputs
 NOISE = 1e-3  # keeps every residual and defect away from an exact zero
+# The Tier-1 command of ROADMAP.md, with src/ put first on PYTHONPATH.
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def stamp() -> dict:
@@ -104,6 +110,8 @@ def cases(rng: np.random.Generator):
         yield "fit_coefficients", 2, d, lambda sup=sup, d=d: fit_coefficients(sup, d)
         if 3 <= d <= 5:
             yield "covariance_deviation", 2, d, lambda sup=sup, d=d: covariance_deviation(sup, d)
+        u = haar_unitary(d, SEED, d)  # one twirl sample: the conjugation by one unitary
+        yield "conjugated_superoperator", 2, d, lambda s=sup, u=u: conjugated_superoperator(s, u)
     for m, d in MULTICOPY_MD:
         lam = rng.standard_normal((math.factorial(m), m + 1)) + 1j * rng.standard_normal((math.factorial(m), m + 1))
         mc = MultiCopyCoefficients(m, d, lam)
@@ -129,6 +137,22 @@ def cli_cases(tmp: Path):
         yield form, call
 
 
+def tier1() -> dict:
+    """Wall time and summary line of one Tier-1 run."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (os.pathsep + path if path else "")}
+    start = time.perf_counter()
+    done = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {
+        "command": " ".join(["PYTHONPATH=src python", *TIER1[1:]]),
+        "wall_s": round(wall, 2),
+        "exit": done.returncode,
+        "summary": lines[-1] if lines else "",
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
@@ -143,6 +167,8 @@ def main(argv=None) -> int:
         for form, call in cli_cases(Path(tmp)):
             cli.append({"form": form, "best_ms": round(best_ms(call), 4)})
             print(f"cli {form:24s} {cli[-1]['best_ms']:10.3f} ms", file=sys.stderr)
+    tests = tier1()
+    print(f"tier1 {tests['summary']} (wall {tests['wall_s']} s)", file=sys.stderr)
     record = {
         "environment": stamp(),
         "repeat": REPEAT,
@@ -151,6 +177,7 @@ def main(argv=None) -> int:
         "covariance_deviation_samples": 20,
         "kernels": records,
         "cli": cli,
+        "tier1": tests,
     }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)
