@@ -2,10 +2,11 @@
 
 Exit codes: 0 success; 2 malformed input: a bad flag or config value (a
 non-finite tolerance included) or a file that cannot be read or written;
-3 dimension mismatch, a --d or --m that conflicts with a weight file, or a
-problem above the desk-scale cap d**m <= 256 (d <= 16 for two-copy maps);
-4 trace terms where the norm analysis forbids them; 5 weight uniqueness
-unavailable (multicopy extraction below d = m + 1).
+3 dimension mismatch, a d (--d or its config key) or --m that conflicts
+with a weight file, or a problem above the desk-scale cap d**m <= 256
+(d <= 16 for two-copy maps); 4 trace terms where the norm analysis
+forbids them; 5 weight uniqueness unavailable (multicopy extraction below
+d = m + 1).
 
 Defaults may be placed in a JSON file named by the COVMAP_CONFIG
 environment variable; explicit flags win, and both pass the same checks.
@@ -106,11 +107,18 @@ def _load_config() -> dict:
 
 
 def _settle(args: argparse.Namespace) -> None:
-    """Fill each unset common option from the config, else its default, and check each value."""
+    """Fill each unset common option from the config, else its default, and check each value.
+
+    ``args.origin`` names the config key and file of each value the config
+    set, so that an error names what the user wrote.
+    """
     config = _load_config()
+    args.origin = {}
     for name, option in _OPTIONS.items():
         if getattr(args, name) is None:
             setattr(args, name, config.get(name, option.default))
+            if name in config:
+                args.origin[name] = f"config key {name!r} in {os.environ['COVMAP_CONFIG']} ="
     if args.format not in _FORMATS:
         raise SchemaError(f"unknown output format {args.format!r}")
     _check_samples(args.samples)  # a ValueError, so exit 2 before any load or draw
@@ -131,10 +139,11 @@ def _superoperator(obj, args: argparse.Namespace):
 
 
 def _check_weight_file(args: argparse.Namespace, d: int, m: int = 2) -> None:
-    """Refuse a --d or --m that conflicts with a weight file, and a file above the cap."""
-    for flag, given, found in (("d", args.d, d), ("m", getattr(args, "m", None), m)):
+    """Refuse a d (flag or config key) or --m that conflicts with a weight file, and a file above the cap."""
+    for name, given, found in (("d", args.d, d), ("m", getattr(args, "m", None), m)):
         if given is not None and given != found:
-            raise DimensionError(f"--{flag} {given} conflicts with file {flag}={found}")
+            source = args.origin.get(name, "--" + name)
+            raise DimensionError(f"{source} {given} conflicts with file {name}={found}")
     _check_desk(m, d)
 
 

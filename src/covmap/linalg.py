@@ -114,10 +114,14 @@ def operator_norm(a) -> float:
 _GRAM_EXPONENT = 400
 
 
-def _gram_top_eigenvalues(a: np.ndarray) -> np.ndarray:
+def _gram(a: np.ndarray) -> np.ndarray:
+    """Gram matrix on the smaller side of each matrix in a stack: a^dag a or a a^dag."""
     h = np.conj(np.swapaxes(a, -1, -2))
-    gram = h @ a if a.shape[-2] >= a.shape[-1] else a @ h
-    return np.linalg.eigvalsh(gram)[..., -1]
+    return h @ a if a.shape[-2] >= a.shape[-1] else a @ h
+
+
+def _gram_top_eigenvalues(a: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(_gram(a))[..., -1]
 
 
 def _top_singular_values(a: np.ndarray) -> np.ndarray:
@@ -147,6 +151,95 @@ def _top_singular_values(a: np.ndarray) -> np.ndarray:
     if top is None or shift.any():
         top = _gram_top_eigenvalues(np.ldexp(parts, shift[..., None, None]).view(a.dtype))
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), -shift)
+
+
+# LAPACK's Cholesky factors s I - G only when s I - G + E is positive definite
+# for a backward error E of order n**2 eps s, so the top eigenvalue of G is
+# below s (1 + n**2 eps), and eigvalsh returns it to within n eps relative.
+# With s = (1 - 2**-20) t and n up to 2**10 both stay below t: a matrix that
+# passes cannot raise a maximum t.
+_CERTIFY = 1 - 2.0**-20
+
+
+def _largest_singular_value(a: np.ndarray, floor: float = 0.0) -> float:
+    """max(floor, _top_singular_values(a).max()) for a stack (N, p, q), as the same float.
+
+    Only the matrices that can raise the maximum get a full Gram spectrum.
+    The Gram stack is sorted by the estimate of _weighted_means; the leading
+    matrix gets eigvalsh unless the floor already beats its estimate, and
+    the rest are certified against the running maximum t by stacked
+    Cholesky tests of (1 - 2**-20) t I - G, in chunks of 1, 2, 4, ... in
+    that order.  Bisection finds the failing matrices of a failing chunk,
+    and each gets eigvalsh, which is what the full spectrum gives it.  A
+    stack with a non-finite Gram or estimate, or with t outside
+    [p q 2**(1 - 2 E), 2**(2 E - 1)), E = _GRAM_EXPONENT, takes
+    _top_singular_values: there its range guard may rescale the matrix that
+    holds the maximum.  The zero stack is one such case.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _gram(a)
+        estimate = _weighted_means(gram)
+    finite = np.isfinite(estimate).all()
+    order = np.argsort(-estimate)
+    level, tops, start = floor * floor, [], 0
+    if finite and not estimate[order[0]] < level:
+        tops.append(np.linalg.eigvalsh(gram[order[0]])[-1])
+        level, start = max(level, tops[0]), 1
+    if not (finite and _in_plain_range(level, a)):
+        return max(floor, float(_top_singular_values(a).max()))
+    shifted = gram[order]
+    np.negative(shifted, out=shifted)
+    diagonal = shifted.reshape(len(order), -1)[:, :: gram.shape[-1] + 1]  # a view
+    size = 1
+    while start < len(order):
+        stop = min(start + size, len(order))
+        diagonal[start:stop] += _CERTIFY * level
+        tops += [np.linalg.eigvalsh(gram[order[k]])[-1] for k in _uncertified(shifted, start, stop)]
+        level, start, size = max([level, *tops]), stop, 2 * size
+    if not _in_plain_range(level, a):
+        return max(floor, float(_top_singular_values(a).max()))
+    return max(floor, float(np.sqrt(max(tops)))) if tops else floor
+
+
+def _in_plain_range(level: float, a: np.ndarray) -> bool:
+    """Whether _top_singular_values keeps the plain Gram bits of any matrix of a that reaches level.
+
+    A matrix whose largest entry part lies outside 2**(+-_GRAM_EXPONENT)
+    has a top Gram eigenvalue below p q 2**(1 - 2 E) or at least 2**(2 E).
+    """
+    low = a.shape[-2] * a.shape[-1] * 2.0 ** (1 - 2 * _GRAM_EXPONENT)
+    return low <= level < 2.0 ** (2 * _GRAM_EXPONENT - 1)
+
+
+def _weighted_means(gram: np.ndarray) -> np.ndarray:
+    """tr(G^2) / tr(G) of each Gram matrix: its eigenvalues averaged with themselves as weights.
+
+    A lower bound on the top eigenvalue that ranks a stack about as well as
+    a few power steps; a zero Gram gets 0.
+    """
+    parts = gram.view(gram.real.dtype)
+    squares = np.einsum("...ij,...ij->...", parts, parts)
+    trace = np.trace(gram, axis1=-2, axis2=-1).real
+    return np.divide(squares, trace, out=np.zeros_like(trace), where=trace > 0)
+
+
+def _uncertified(shifted: np.ndarray, start: int, stop: int, failed: bool = False) -> list:
+    """Positions in start..stop-1 whose shifted matrix has no Cholesky factor.
+
+    ``failed`` marks a range already known to hold one, which is split
+    without being tested again.
+    """
+    if not failed:
+        try:
+            np.linalg.cholesky(shifted[start:stop])
+            return []
+        except np.linalg.LinAlgError:
+            pass
+    if stop - start == 1:
+        return [start]
+    middle = (start + stop) // 2
+    left = _uncertified(shifted, start, middle)
+    return left + _uncertified(shifted, middle, stop, failed=not left)
 
 
 def frobenius_norm(a) -> float:

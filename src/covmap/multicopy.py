@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _top_singular_values
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _largest_singular_value
 from .linalg import frobenius_norm, operator_norm, vec
 from .operators import _BLOCK, _check_samples, _gather, _haar_unitaries, _read_weights, _realize
 from .operators import _rows, _shaped, _span_fit, enumerate_permutations
@@ -100,9 +100,12 @@ def apply_multi(mc: MultiCopyCoefficients, x) -> np.ndarray:
     """Image of x, d^m x d^m, gathered with the bits of a sum of permuted slot embeddings."""
     m, d = mc.m, mc.d
     x = _shaped(x, d, m, "input")
-    source, target = _gather(m, d)
-    values = np.concatenate([vec(x), [np.trace(x), 0]])[source]
-    inner = sum(mc.lam[:, j, None] * values[j] for j in range(m + 1))
+    reach, target = _gather(m, d)
+    values = np.append(vec(x), np.trace(x))
+    inner = np.zeros(target.shape, dtype=np.complex128)
+    for j, spans in enumerate(reach):  # each weight only where its generator reaches
+        for span, source in spans:
+            inner[:, span] += mc.lam[:, j, None] * values[source]
     out = np.zeros(d ** (2 * m), dtype=np.complex128)
     for positions, terms in zip(target, inner):
         out[positions] += terms
@@ -145,7 +148,11 @@ def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: 
     """Largest covariance defect over sampled unitaries and all matrix units.
 
     Per sampled U, every unit image F(U E_ab U^dag) is compared at once
-    with W F(E_ab) W^dag, W = U^(x m), in operator norm.
+    with W F(E_ab) W^dag, W = U^(x m), in operator norm.  The running
+    maximum goes into :func:`covmap.linalg._largest_singular_value` as its
+    floor, which solves the Gram spectrum of a unit defect only when a
+    Cholesky test cannot certify that defect below the maximum, and
+    returns the float a full spectrum of every defect would give.
     """
     _check_samples(samples)
     dim = d**m
@@ -159,7 +166,7 @@ def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: 
         for u in _haar_unitaries(d, seed, range(start, min(start + _BLOCK, samples))):
             w = reduce(np.kron, [u] * m)
             defects = images(superop @ np.kron(u.conj(), u)) - w @ before @ w.conj().T
-            worst = max(worst, _top_singular_values(defects).max())
+            worst = _largest_singular_value(defects, worst)
     return float(worst)
 
 

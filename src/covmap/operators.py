@@ -239,25 +239,42 @@ def _scatter(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _gather(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _gather(m: int, d: int) -> tuple[tuple, np.ndarray]:
     """Where the generators read x and write its d^m x d^m image.
 
-    Over the image entries e that some unpermuted generator reaches,
-    F_(j+1)(x) holds entry source[j, e] of (vec(x), tr(x), 0) at e, and
-    permutation i moves e to the C-order flat index target[i, e].
+    Every image entry some unpermuted generator reaches is either on the
+    diagonal, reached by all of them, or off it in one slot's digit only,
+    reached by that slot alone.  The entries are laid out as slot 1,
+    diagonal, slot 2, ..., slot m, and reach[j] holds the runs of entries
+    F_(j+1) reaches (one run for the trace and slots 1 and 2, two for the
+    others; d^m entries for the trace, d^(m+1) for a slot), each with the
+    entry of (vec(x), tr(x)) it holds there.  Permutation i moves entry e
+    to the C-order flat index target[i, e].
     """
     hits, flat = _scatter(m, d)
     dim, dd = d**m, d * d
     rows, columns = np.divmod(flat[0], dd)  # permutation 0 is the identity
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    source = np.full((m + 1, first.size), dd + 1)
-    for j in range(m + 1):
-        source[j, inverse[hits[:, j]]] = columns[hits[:, j]] if j else dd
-    column, row = np.divmod(flat[:, first] // dd, dim)  # vec row c * dim + x
+    block = np.empty(first.size, dtype=np.intp)  # 0 slot 1, 1 diagonal, j slot j
+    source = np.full((m + 1, first.size), dd)  # the trace reads tr(x), entry dd
+    for j in range(1, m + 1):
+        block[inverse[hits[:, j]]] = 0 if j == 1 else j
+        source[j, inverse[hits[:, j]]] = columns[hits[:, j]]
+    block[inverse[hits[:, 0]]] = 1
+    order = np.argsort(block, kind="stable")
+    bounds = np.cumsum([0, *np.bincount(block)])
+    source = source[:, order]
+    column, row = np.divmod(flat[:, first[order]] // dd, dim)  # vec row c * dim + x
     target = row * dim + column
     source.setflags(write=False)
     target.setflags(write=False)
-    return source, target
+    # the (first, last + 1) blocks of each run: the trace, slots 1 and 2, then the rest
+    runs = [[(1, 2)], [(0, 2)], [(1, 3)]] + [[(1, 2), (j, j + 1)] for j in range(3, m + 1)]
+    reach = tuple(
+        tuple((slice(bounds[a], bounds[b]), source[j, bounds[a] : bounds[b]]) for a, b in runs[j])
+        for j in range(m + 1)
+    )
+    return reach, target
 
 
 def _realize(lam: np.ndarray, m: int, d: int) -> np.ndarray:

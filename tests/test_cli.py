@@ -186,6 +186,30 @@ def test_multicopy_apply_checks_d_and_m_against_the_weight_file(tmp_path, capsys
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("form", ["classify", "multicopy apply"])
+def test_config_d_that_conflicts_with_the_weight_file_is_named_as_a_config_key(
+    tmp_path, monkeypatch, capsys, form
+):
+    # The d = 3 weight file meets a d from the config, not a --d flag.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 4}), encoding="utf-8")
+    monkeypatch.setenv("COVMAP_CONFIG", str(cfg))
+    if form == "classify":
+        vb = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
+        argv = ["classify", vb]
+    else:
+        mc = write(tmp_path / "mc.json", multicopy_to_obj(MultiCopyCoefficients(2, 3, np.eye(2, 3))))
+        argv = ["multicopy", "apply", mc, write(tmp_path / "x.json", matrix_to_obj(np.eye(3)))]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"config key 'd' in {cfg} = 4 conflicts with file d=3" in captured.err
+    assert "--d" not in captured.err
+    assert captured.out == ""
+    assert main([*argv, "--d", "5"]) == 3
+    assert "--d 5 conflicts with file d=3" in capsys.readouterr().err
+    assert main([*argv, "--d", "3"]) == 0  # the flag wins over the config
+
+
 def test_multicopy_extract_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(60)
     lam = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covmap.linalg
 from covmap.linalg import (
     DimensionError,
+    _largest_singular_value,
     _top_singular_values,
     NotHermitianError,
     Tolerance,
@@ -218,6 +220,90 @@ def test_in_range_matrices_get_the_plain_gram_bits():
         got = _top_singular_values(np.stack([a, a * far]))
         assert got[0] == plain
         assert abs(got[1] - plain * far) <= 16 * EPS * plain * far
+
+
+def _full_spectrum_max(a, floor=0.0):
+    """What _largest_singular_value must return, bit for bit: the max over every Gram spectrum."""
+    return max(floor, float(_top_singular_values(a).max()))
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.5]),
+    st.integers(0, 2**31 - 1),
+)
+def test_largest_singular_value_is_the_full_spectrum_max(n, p, q, floor_share, seed):
+    # Floors below, at and above the maximum, on tall, wide and square stacks.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, p, q)) + 1j * rng.standard_normal((n, p, q))
+    floor = floor_share * float(_top_singular_values(a).max())
+    assert _largest_singular_value(a, floor) == _full_spectrum_max(a, floor)
+
+
+def test_largest_singular_value_on_exact_ties():
+    # a^dag has the Gram spectrum of a on the other side; copies tie exactly.
+    rng = np.random.default_rng(12)
+    a = _rand(rng, 7)
+    b = _rand(rng, 7) * 0.5
+    for stack in ([a, a], [a, a.conj().T, b], [b, a, b, a.conj().T, a]):
+        stack = np.stack(stack)
+        assert _largest_singular_value(stack) == _full_spectrum_max(stack)
+        floor = float(_top_singular_values(stack).max())
+        assert _largest_singular_value(stack, floor) == floor
+
+
+def test_largest_singular_value_certifies_instead_of_solving(monkeypatch):
+    # One dominant matrix: it gets the only spectrum, the rest pass the Cholesky test.
+    rng = np.random.default_rng(13)
+    a = np.stack([_rand(rng, 16) * (3 if k == 5 else 1) for k in range(20)])
+    want = _full_spectrum_max(a)
+    solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    assert _largest_singular_value(a) == want
+    assert len(solves) == 1
+    solves.clear()
+    assert _largest_singular_value(a, 2 * want) == 2 * want
+    assert not solves
+
+
+def test_largest_singular_value_of_zero_is_zero_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _largest_singular_value(np.zeros((3, 4, 4), dtype=complex)) == 0.0
+        assert _largest_singular_value(np.zeros((3, 4, 4), dtype=complex), 0.25) == 0.25
+
+
+@pytest.mark.parametrize("exponent", [-500, 500])
+def test_largest_singular_value_out_of_range_takes_the_guard(monkeypatch, exponent):
+    # 2**-500 underflows the Gram below the safe range, 2**500 overflows it;
+    # both go through the rescaling of _top_singular_values.
+    rng = np.random.default_rng(14)
+    plain = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    a = plain * 2.0**exponent  # exact
+    want = _full_spectrum_max(a)
+    guarded = _count_calls(monkeypatch, covmap.linalg, "_top_singular_values")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _largest_singular_value(a) == want
+    assert len(guarded) == 1
+    assert want == pytest.approx(float(_svd_norms(plain).max()) * 2.0**exponent, rel=16 * EPS)
+    guarded.clear()
+    assert _largest_singular_value(plain) == _full_spectrum_max(plain)
+    assert not guarded
 
 
 def test_hs_inner_identity_and_swap():

@@ -1,12 +1,13 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from covmap.linalg import DimensionError, hs_inner, unvec, vec
+from covmap.linalg import DimensionError, _top_singular_values, hs_inner, unvec, vec
 from covmap.multicopy import (
     MultiCopyCoefficients,
     UniquenessUnavailableError,
@@ -22,7 +23,8 @@ from covmap.multicopy import (
 )
 from covmap.twirl import covariance_deviation, twirl_operator
 from covmap.classify import commutant_fit
-from covmap.operators import Permutation, _probes, _rows, _scatter, haar_unitary, matrix_unit
+from covmap.operators import _BLOCK, Permutation, _gather, _probes, _rows, _scatter, haar_unitary
+from covmap.operators import matrix_unit
 from covmap.operators import permutation_operator
 from covmap.twocopy import (
     CovariantCoefficients,
@@ -253,7 +255,10 @@ def test_covariance_residual_multi_cases():
                 y[k * d + k, k * d + k] = pinched[k, k]
             sup[:, j * d + i] = y.T.reshape(-1)
     assert covariance_residual_multi(sup, 2, 2, samples=5, seed=3) > 0.1
-    assert covariance_residual_multi(np.zeros((16, 4), dtype=complex), 2, 2, samples=3, seed=0) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the zero map takes the range guard, with no 0/0
+        assert covariance_residual_multi(np.zeros((16, 4), dtype=complex), 2, 2, samples=3, seed=0) == 0.0
+        assert covariance_residual_multi(np.zeros((64, 4), dtype=complex), 3, 2, samples=3) == 0.0
 
 
 def test_gram_matrix_matches_cycle_count_formula():
@@ -446,6 +451,19 @@ def test_kernel_matches_loop_references(m, d):
     assert image.tobytes() == _loop_apply(mc, x).tobytes()
 
 
+@pytest.mark.parametrize("m,d", KERNEL_SHAPES)
+def test_apply_multi_weights_only_the_entries_each_generator_reaches(m, d):
+    # The trace reaches the d^m diagonal entries, a slot d^(m+1): the
+    # diagonal and the entries that differ from it in that slot only.
+    reach, target = _gather(m, d)
+    sizes = [sum(span.stop - span.start for span, _ in spans) for spans in reach]
+    assert sizes == [d**m] + [d ** (m + 1)] * m
+    assert target.shape[1] == d**m * (1 + m * (d - 1))
+    for spans in reach:
+        for span, source in spans:
+            assert len(source) == span.stop - span.start
+
+
 def test_apply_multi_at_the_size_cap_realizes_nothing():
     # The realized superoperator alone would take 268 MB at (m, d) = (2, 16).
     rng = np.random.default_rng(16)
@@ -461,8 +479,8 @@ def test_apply_multi_at_the_size_cap_realizes_nothing():
     assert image.tobytes() == _loop_apply(mc, x).tobytes()
 
 
-def _stacked_svd_defect(sup, m, d, samples, seed):
-    """The covariance defect with a full stacked SVD per sampled unitary."""
+def _stacked_defect(sup, m, d, samples, seed, norms):
+    """The covariance defect with norms() of the whole stack of unit defects per sampled unitary."""
     dim = d**m
 
     def images(cols):
@@ -473,10 +491,13 @@ def _stacked_svd_defect(sup, m, d, samples, seed):
     for k in range(samples):
         u = haar_unitary(d, seed, k)
         w = reduce(np.kron, [u] * m)
-        lhs = images(sup @ np.kron(u.conj(), u))
-        rhs = w @ before @ w.conj().T
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2, axis=(1, 2)).max()))
+        defects = images(sup @ np.kron(u.conj(), u)) - w @ before @ w.conj().T
+        worst = max(worst, float(norms(defects).max()))
     return worst
+
+
+def _stacked_svd_norms(defects):
+    return np.linalg.norm(defects, 2, axis=(1, 2))
 
 
 # The covres shapes of the benchmark, plus m = 2 at d = 3..5.
@@ -487,7 +508,63 @@ def test_covariance_defect_matches_the_stacked_svd(m, d):
     sup = realize_multi_superoperator(MultiCopyCoefficients(m, d, lam))
     for noisy in (sup + 1e-3 * rng.standard_normal(sup.shape), rng.standard_normal(sup.shape)):
         got = covariance_residual_multi(noisy, m, d, samples=2, seed=4)
-        assert got == pytest.approx(_stacked_svd_defect(noisy, m, d, 2, 4), rel=1e-12)
+        assert got == pytest.approx(_stacked_defect(noisy, m, d, 2, 4, _stacked_svd_norms), rel=1e-12)
+
+
+def _hermiticity_preserving(sup, m, d):
+    """X -> F(X) + F(X^dag)^dag, whose defect at E_ba is the adjoint of the one at E_ab."""
+    dim = d**m
+    out = np.empty_like(sup)
+    for a in range(d):
+        for b in range(d):
+            image = unvec(sup[:, b * d + a], dim) + unvec(sup[:, a * d + b], dim).conj().T
+            out[:, b * d + a] = vec(image)
+    return out
+
+
+def _defect_input(kind, m, d, rng):
+    shape = (math.factorial(m), m + 1)
+    lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sup = realize_multi_superoperator(MultiCopyCoefficients(m, d, lam))
+    noise = rng.standard_normal(sup.shape) + 1j * rng.standard_normal(sup.shape)
+    if kind == "covariant":
+        return sup
+    if kind == "noisy":
+        return sup + 1e-2 * noise
+    return _hermiticity_preserving(sup + 1e-2 * noise, m, d)
+
+
+# Bit for bit against every Gram spectrum solved: the Cholesky tests only skip spectra.
+@pytest.mark.parametrize("m,d", [(2, 2), (2, 3), (2, 5), (2, 6), (3, 2), (3, 4), (4, 3)])
+@pytest.mark.parametrize("kind", ["covariant", "noisy", "hermiticity-preserving"])
+def test_covariance_defect_is_the_full_spectrum_max(m, d, kind):
+    rng = np.random.default_rng(600 + 10 * m + d)
+    sup = _defect_input(kind, m, d, rng)
+    got = covariance_residual_multi(sup, m, d, samples=3, seed=9)
+    assert got == _stacked_defect(sup, m, d, 3, 9, _top_singular_values)
+    if m == 2:
+        assert covariance_deviation(sup, d, 3, 9) == got
+
+
+def test_covariance_defect_past_one_block_of_unitaries():
+    rng = np.random.default_rng(41)
+    for kind in ("noisy", "hermiticity-preserving"):
+        sup = _defect_input(kind, 2, 2, rng)
+        samples = _BLOCK + 6
+        want = _stacked_defect(sup, 2, 2, samples, 3, _top_singular_values)
+        assert covariance_residual_multi(sup, 2, 2, samples, 3) == want
+
+
+@pytest.mark.parametrize("exponent", [-500, 500])
+def test_covariance_defect_out_of_the_gram_range(exponent):
+    rng = np.random.default_rng(42)
+    sup = _defect_input("noisy", 2, 3, rng) * 2.0**exponent  # exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = covariance_residual_multi(sup, 2, 3, samples=2, seed=1)
+    assert got == _stacked_defect(sup, 2, 3, 2, 1, _top_singular_values)
+    plain = covariance_residual_multi(sup * 2.0**-exponent, 2, 3, samples=2, seed=1)
+    assert got == pytest.approx(plain * 2.0**exponent, rel=1e-12)
 
 
 @pytest.mark.parametrize("m,d", KERNEL_SHAPES)
