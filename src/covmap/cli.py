@@ -212,6 +212,7 @@ def _multicopy(args: argparse.Namespace) -> dict:
         return serialize.matrix_to_obj(apply_multi(mc, x))
     if args.d is None or args.m is None:
         raise SchemaError(f"multicopy {args.action} needs --m and --d")
+    _check_desk(args.m, args.d)  # refuse before reading a file of that size
     matrix = serialize.matrix_from_obj(_read_json(args.input))
     if args.action == "extract":
         mc, residual = extract_multi(matrix, args.m, args.d, args.tol)
@@ -261,10 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process from the constant tables above; it holds no input and
+# no result, and each parse_args call returns a fresh Namespace.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -9,8 +9,9 @@ value bit-exactly.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import itertools
 import json
-import math
 from typing import Any
 
 import numpy as np
@@ -49,20 +50,14 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise SchemaError("non-finite value is not serializable")
-    return [float(z.real), float(z.imag)]
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _real_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
 def _unpair(obj) -> complex:
     if not (
-        isinstance(obj, (list, tuple)) and len(obj) == 2 and _is_real(obj[0]) and _is_real(obj[1])
+        isinstance(obj, (list, tuple)) and len(obj) == 2
+        and _real_type(type(obj[0])) and _real_type(type(obj[1]))
     ):
         raise SchemaError(f"expected a [real, imag] pair, got {obj!r}")
     try:
@@ -72,6 +67,31 @@ def _unpair(obj) -> complex:
     except OverflowError:  # an integer beyond the double range
         pass
     raise SchemaError(f"expected finite values, got {obj!r}")
+
+
+def _pairs(data) -> np.ndarray:
+    """The complex array of a list of [real, imag] pairs, checked as a whole list.
+
+    It accepts exactly the pairs ``_unpair`` accepts.  A list that fails a
+    check is read again pair by pair, so the error names its first bad pair.
+    """
+    kinds = set(map(type, data))
+    if all(issubclass(t, (list, tuple)) for t in kinds) and set(map(len, data)) <= {2}:
+        flat = list(itertools.chain.from_iterable(data))
+        if all(map(_real_type, set(map(type, flat)))):
+            with contextlib.suppress(OverflowError):  # an integer beyond the double range
+                parts = np.array(flat, dtype=np.float64)
+                if np.isfinite(parts).all():
+                    return parts.view(np.complex128)
+    return np.array([_unpair(pair) for pair in data], dtype=np.complex128)
+
+
+def _pair_list(a) -> list:
+    """Row-major [real, imag] pairs of a complex array, nested as its shape."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    if not np.isfinite(parts).all():
+        raise SchemaError("non-finite value is not serializable")
+    return parts.reshape(*np.shape(a), 2).tolist()
 
 
 def _require(obj, key: str):
@@ -104,7 +124,7 @@ def matrix_to_obj(a) -> dict:
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "data": [_pair(z) for z in a.reshape(-1)],
+        "data": _pair_list(a.reshape(-1)),
     }
 
 
@@ -116,12 +136,11 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise SchemaError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(f"data must hold {rows * cols} entries")
-    flat = np.array([_unpair(p) for p in data], dtype=np.complex128)
-    return flat.reshape(rows, cols)
+    return _pairs(data).reshape(rows, cols)
 
 
 def coefficients_to_obj(c: CovariantCoefficients) -> dict:
-    return {"d": c.d, "coeffs": [_pair(z) for z in c.coeffs]}
+    return {"d": c.d, "coeffs": _pair_list(c.as_array())}
 
 
 def coefficients_from_obj(obj) -> CovariantCoefficients:
@@ -129,14 +148,14 @@ def coefficients_from_obj(obj) -> CovariantCoefficients:
     coeffs = _require(obj, "coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 6:
         raise SchemaError("coeffs must hold exactly 6 entries")
-    return _schema_checked(lambda: CovariantCoefficients(d, tuple(_unpair(p) for p in coeffs)))
+    return _schema_checked(lambda: CovariantCoefficients(d, tuple(_pairs(coeffs))))
 
 
 def multicopy_to_obj(mc: MultiCopyCoefficients) -> dict:
     return {
         "m": mc.m,
         "d": mc.d,
-        "lam": [[_pair(z) for z in row] for row in mc.lam],
+        "lam": _pair_list(mc.lam),
     }
 
 
@@ -146,7 +165,9 @@ def multicopy_from_obj(obj) -> MultiCopyCoefficients:
     lam = _require(obj, "lam")
     if not isinstance(lam, list) or not all(isinstance(r, list) for r in lam):
         raise SchemaError("lam must be a list of rows")
-    rows = [[_unpair(p) for p in row] for row in lam]
+    values = _pairs(list(itertools.chain.from_iterable(lam)))
+    ends = list(itertools.accumulate(map(len, lam)))
+    rows = [values[start:end] for start, end in zip([0, *ends], ends)]
     return _schema_checked(lambda: MultiCopyCoefficients(m, d, np.array(rows, dtype=np.complex128)))
 
 

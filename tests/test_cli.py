@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from covmap import cli
 from covmap.cli import main
 from covmap.multicopy import MultiCopyCoefficients, realize_multi_superoperator
 from covmap.operators import swap_operator
@@ -492,3 +493,69 @@ def test_norm_at_d2_accepts_weights_and_their_superoperator(tmp_path, capsys, as
     out = json.loads(capsys.readouterr().out)
     assert (out["method"], out["value_kind"]) == ("schur-multiplier", "exact")
     assert out["value"] == pytest.approx(1.8, rel=1e-12)
+
+
+@pytest.mark.parametrize("action", ["extract", "fit"])
+def test_multicopy_above_desk_cap_exits_3_before_reading_the_input(tmp_path, monkeypatch, capsys, action):
+    def refuse_read(path):
+        raise AssertionError(f"{path} was read")
+
+    missing = str(tmp_path / "missing.json")
+    argv = ["multicopy", action, missing, "--m", "4", "--d", "5"]
+    assert main(argv) == 3  # the cap is checked before the missing file would exit 2
+    assert "desk-scale cap" in capsys.readouterr().err
+    monkeypatch.setattr("covmap.cli._read_json", refuse_read)
+    assert main(argv) == 3
+    assert main(["multicopy", action, missing, "--m", "5", "--d", "2"]) == 2
+
+
+def test_consecutive_calls_print_what_each_prints_alone(tmp_path, monkeypatch, capsys):
+    vb = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
+    sup = write(tmp_path / "sup.json", matrix_to_obj(realize_superoperator(virtual_broadcast_coefficients(3))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 5, "seed": 3, "format": "text"}), encoding="utf-8")
+    # (config set?, argv), run in this order
+    steps = [
+        (False, ["twirl", sup, "--samples", "5", "--seed", "1"]),
+        (False, ["twirl", sup, "--samples", "5", "--seed", "2"]),
+        (False, ["classify", vb, "--format", "text"]),
+        (False, ["classify", vb, "--d", "4"]),
+        (False, ["classify", vb, "--bogus"]),
+        (False, ["classify", vb]),
+        (True, ["twirl", sup]),
+        (True, ["classify", vb, "--d", "4"]),
+        (False, ["twirl", sup, "--samples", "6"]),
+        (False, ["classify", vb, "--d", "3"]),
+    ]
+
+    def run(config, argv):
+        if config:
+            monkeypatch.setenv("COVMAP_CONFIG", str(cfg))
+        else:
+            monkeypatch.delenv("COVMAP_CONFIG", raising=False)
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = cli._PARSER
+    alone = []
+    for step in steps:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        alone.append(run(*step))
+    monkeypatch.setattr(cli, "_PARSER", shared)
+    assert [run(*step) for step in steps] == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 3, 2, 0, 0, 3, 0, 0]
+    assert alone[6][1].startswith("coefficients.coeffs[0][0] = ")  # the config's text format
+    assert "config key 'd'" not in alone[7][2] and "--d 4 conflicts" in alone[7][2]
+
+
+@pytest.mark.parametrize("command", [[], ["classify"], ["norm"], ["twirl"], ["multicopy"]])
+def test_help_of_the_shared_parser_matches_a_fresh_parser(monkeypatch, capsys, command):
+    assert main(["classify", "--bogus"]) == 2
+    capsys.readouterr()
+    assert main([*command, "--help"]) == 0
+    shared = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+    assert main([*command, "--help"]) == 0
+    assert capsys.readouterr().out == shared
+    assert shared.startswith(f"usage: {' '.join(['covmap', *command])} ")

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from covmap.serialize import (
     permutation_to_obj,
     twirl_result_to_obj,
 )
+from covmap.serialize import _unpair
 from covmap.twirl import twirl
 from covmap.twocopy import CovariantCoefficients, realize_superoperator, virtual_broadcast_coefficients
 
@@ -150,3 +153,87 @@ def test_twirl_result_serializes_without_bulk_matrix():
         "deviation_after",
     }
     assert parsed["samples"] == 5
+
+
+# Pairs that _unpair refuses, each with the message it gives.
+BAD_PAIRS = [True, "1", None, {}, [1], [1, 2, 3], [[1], 2], [float("nan"), 0], [0, float("inf")],
+             [float("-inf"), 1], [10**400, 0], [False, 0.5], [0.5, None]]
+
+
+def _unpair_message(pair) -> str:
+    with pytest.raises(SchemaError) as refused:
+        _unpair(pair)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS, ids=repr)
+@pytest.mark.parametrize("where", [0, 3, 5], ids=["first", "middle", "last"])
+def test_the_whole_list_reader_names_the_first_bad_pair(bad, where):
+    want = _unpair_message(bad)
+    data = [[0.5, -1]] * 6
+    data[where] = bad
+    if where < 5:
+        data[5] = [float("nan"), 0]  # a later bad pair must not be the one named
+    readers = [
+        lambda: matrix_from_obj({"rows": 2, "cols": 3, "data": data}),
+        lambda: coefficients_from_obj({"d": 3, "coeffs": data}),
+        lambda: multicopy_from_obj({"m": 2, "d": 3, "lam": [data[:3], data[3:]]}),
+    ]
+    for read in readers:
+        with pytest.raises(SchemaError) as refused:
+            read()
+        assert str(refused.value) == want
+
+
+def test_the_whole_list_reader_accepts_what_unpair_accepts():
+    data = [[np.float64(0.25), np.float64(-1.5)], [1, -2], (3, 4.5), [-0.0, 0.0], [2**53 + 1, -(2**70) - 1]]
+    got = matrix_from_obj({"rows": 1, "cols": 5, "data": data})
+    assert got.dtype == np.complex128
+    assert got.tolist() == [[_unpair(p) for p in data]]
+    assert np.signbit(got[0, 3].real) and not np.signbit(got[0, 3].imag)
+    assert got[0, 4].real == float(2**53 + 1) == 2.0**53  # rounded as float() rounds it
+    lam = [data[:3], data[2:]]
+    mc = multicopy_from_obj({"m": 2, "d": 3, "lam": lam})
+    assert mc.lam.tolist() == [[_unpair(p) for p in row] for row in lam]
+    c = coefficients_from_obj({"d": 3, "coeffs": data + [[7, 8]]})
+    assert c.coeffs == tuple(_unpair(p) for p in data + [[7, 8]])
+    assert all(type(z) is complex for z in c.coeffs)
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ([], "lam shape (0,) does not match (m!, m+1) for m=2"),
+        ([[], []], "lam shape (2, 0) does not match (m!, m+1) for m=2"),
+        ([[[1, 2]], [[1, 2], [3, 4]]], "inhomogeneous shape after 1 dimensions"),
+    ],
+)
+def test_an_empty_or_ragged_weight_table_is_refused_by_its_shape(lam, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        multicopy_from_obj({"m": 2, "d": 3, "lam": lam})
+
+
+def _pair(z) -> list[float]:
+    """The [real, imag] pair of one entry, written entry by entry."""
+    z = complex(z)
+    assert math.isfinite(z.real) and math.isfinite(z.imag)
+    return [float(z.real), float(z.imag)]
+
+
+def test_the_whole_array_writer_matches_the_entry_by_entry_writer():
+    # repr tells -0.0 from 0.0
+    rng = np.random.default_rng(52)
+    a = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300, -1e300]
+    a[0, : len(special)] = special
+    a[1, : len(special)] = 1j * np.array(special)
+    for x in (a, a.T, a[:, ::2], a.real):
+        assert repr(matrix_to_obj(x)["data"]) == repr([_pair(z) for z in x.ravel()])
+    mc = MultiCopyCoefficients(3, 2, a[:6, :4])
+    assert repr(multicopy_to_obj(mc)["lam"]) == repr([[_pair(z) for z in row] for row in mc.lam])
+    c = CovariantCoefficients(3, tuple(a[1, :6]))
+    assert repr(coefficients_to_obj(c)["coeffs"]) == repr([_pair(z) for z in c.coeffs])
+    for bad in (np.nan, np.inf, -np.inf * 1j):
+        a[2, 3] = bad
+        with pytest.raises(SchemaError, match="non-finite"):
+            matrix_to_obj(a)

@@ -1,4 +1,4 @@
-"""Per-kernel timings: two-copy and m-copy kernels, norms, twirl, CLI forms, Tier-1 time.
+"""Per-kernel timings: two-copy and m-copy kernels, norms, twirl, JSON I/O, CLI forms, Tier-1 time.
 
     python3 tools/bench_kernels.py --out BENCH.json
 
@@ -9,6 +9,10 @@ reads the kernel's own cost rather than the load of a shared host.  The
 six command lines of acceptance criterion 12 (``criterion_12_invocations``
 in ``tests/test_cli_golden.py``) are timed the same way, in process through
 ``covmap.cli.main`` with ``--out`` to a scratch file and no COVMAP_CONFIG.
+So are the JSON matrix reader and writer (``matrix_from_obj`` on a parsed
+file, ``matrix_to_obj`` on an array) at the sizes the command line meets,
+and one ``main`` call on a weight file, where argument parsing is a large
+share of the job.
 Last, the Tier-1 test command (TIER1) runs once in a subprocess from the
 checkout root, and its wall time and summary line are recorded.  The
 file opens with an environment stamp (numpy, BLAS, thread variables, CPU
@@ -47,18 +51,24 @@ from covmap.multicopy import (  # noqa: E402
 )
 from covmap.norms import cb_norm  # noqa: E402
 from covmap.operators import haar_unitary  # noqa: E402
+from covmap.serialize import coefficients_to_obj, dumps, matrix_from_obj, matrix_to_obj  # noqa: E402
 from covmap.twirl import conjugated_superoperator, covariance_deviation  # noqa: E402
 from covmap.twocopy import (  # noqa: E402
     CovariantCoefficients,
     extract,
     fit_coefficients,
     realize_superoperator,
+    virtual_broadcast_coefficients,
 )
 from test_cli_golden import criterion_12_invocations  # noqa: E402
 
 # The (m, d) shapes of the multicopy_tables workload in perfbench/.
 MULTICOPY_MD = ((2, 3), (2, 6), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4))
 COVRES_SAMPLES = 4
+# (rows, cols) of the matrices the CLI reads and writes: a d = 5 superoperator
+# (classify, norm, twirl), an (m, d) = (3, 4) superoperator (multicopy
+# extract) and an operator on 3 copies of d = 4 (the multicopy apply output).
+IO_SHAPES = ((625, 25), (4096, 16), (64, 64))
 REPEAT = 7  # timed calls per kernel; the best one is kept
 SEED = 0  # of the generated inputs
 NOISE = 1e-3  # keeps every residual and defect away from an exact zero
@@ -125,16 +135,32 @@ def cases(rng: np.random.Generator):
         )
 
 
+def main_call(argv: list[str]):
+    """A call of covmap.cli.main on argv that must exit 0."""
+
+    def call():
+        if cli_main(argv) != 0:
+            raise RuntimeError(f"covmap {' '.join(argv)} did not exit 0")
+
+    return call
+
+
 def cli_cases(tmp: Path):
     """(form, call) for the six criterion-12 command lines, input files written to tmp."""
     for form, argv in criterion_12_invocations(tmp).items():
-        argv = [*argv, "--out", str(tmp / "out.json")]
+        yield form, main_call([*argv, "--out", str(tmp / "out.json")])
 
-        def call(argv=argv):
-            if cli_main(argv) != 0:
-                raise RuntimeError(f"covmap {' '.join(argv)} did not exit 0")
 
-        yield form, call
+def io_cases(rng: np.random.Generator, tmp: Path):
+    """(call, size, fn): the JSON matrix reader and writer, then main on a weight file."""
+    for rows, cols in IO_SHAPES:
+        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        obj = json.loads(dumps(matrix_to_obj(a)))  # as json.load hands it to the reader
+        yield "matrix_from_obj", f"{rows}x{cols}", lambda obj=obj: matrix_from_obj(obj)
+        yield "matrix_to_obj", f"{rows}x{cols}", lambda a=a: matrix_to_obj(a)
+    weights = tmp / "vb.json"
+    weights.write_text(dumps(coefficients_to_obj(virtual_broadcast_coefficients(3))))
+    yield "main_norm_weight_file", "d=3", main_call(["norm", str(weights), "--out", str(tmp / "out.json")])
 
 
 def tier1() -> dict:
@@ -163,10 +189,15 @@ def main(argv=None) -> int:
         print(f"{kernel:28s} m={m} d={d} {records[-1]['best_ms']:10.3f} ms", file=sys.stderr)
     os.environ.pop("COVMAP_CONFIG", None)  # the command lines run on their built-in defaults
     cli = []
+    io = []
     with tempfile.TemporaryDirectory() as tmp:
         for form, call in cli_cases(Path(tmp)):
             cli.append({"form": form, "best_ms": round(best_ms(call), 4)})
             print(f"cli {form:24s} {cli[-1]['best_ms']:10.3f} ms", file=sys.stderr)
+        # a generator of its own, so the kernel inputs above stay as they were
+        for name, size, call in io_cases(np.random.default_rng(SEED), Path(tmp)):
+            io.append({"call": name, "size": size, "best_ms": round(best_ms(call), 4)})
+            print(f"io {name:24s} {size:8s} {io[-1]['best_ms']:10.3f} ms", file=sys.stderr)
     tests = tier1()
     print(f"tier1 {tests['summary']} (wall {tests['wall_s']} s)", file=sys.stderr)
     record = {
@@ -177,6 +208,7 @@ def main(argv=None) -> int:
         "covariance_deviation_samples": 20,
         "kernels": records,
         "cli": cli,
+        "io": io,
         "tier1": tests,
     }
     with open(args.out, "w") as f:
