@@ -45,6 +45,15 @@ route"): its input (1, -1, 1, -1, 0, 0) at d = 3 was a bracket
 "exact", ``value`` 4.0, ``method`` "schur-multiplier"; ``detail`` drops
 ``samples`` and ``seed`` and gains ``witness_angle`` pi.  The file keeps
 its name, which criterion 12 uses.
+
+``twirl.json`` was recaptured by the commit that conjugates digit axes a
+pair at a time, with no transposing copy ("Copy-free, pairwise digit-axis
+conjugation for both Haar averages"): each GEMM now sums over d^2 terms of
+a Kronecker factor, so ``deviation_after`` moved 0.09177124341126582 ->
+0.09177124341126588, ``residual`` 0.09477903930604559 ->
+0.09477903930604557, and the six imaginary weight parts (all below 4e-19)
+moved; ``deviation_before``, the real weights, ``samples`` and ``seed``
+kept their bytes.
 """
 
 from pathlib import Path

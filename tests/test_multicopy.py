@@ -588,7 +588,9 @@ def test_two_copy_defect_is_the_m2_view(d):
     assert covariance_deviation(sup, d, 3, 7) == covariance_residual_multi(sup, 2, d, 3, 7)
 
 
-@pytest.mark.parametrize("m,d,samples", [(2, 2, 70), (2, 3, 70), (3, 3, 40), (3, 4, 20)])
+@pytest.mark.parametrize(
+    "m,d,samples", [(2, 2, 70), (2, 3, 70), (3, 3, 40), (3, 4, 20), (4, 3, 5), (2, 6, 15)]
+)
 def test_twirl_operator_matches_kron_sandwich_reference(m, d, samples):
     # The Kronecker sandwich the digit-axis kernel replaced; the sample
     # counts cross the block boundaries of the Haar average.

@@ -156,9 +156,10 @@ def test_conjugated_superoperator_matches_kron_reference(d):
         assert np.abs(got - _kron_conjugated(sup, u)).max() <= 1e-14 * np.abs(sup).max()
 
 
-@pytest.mark.parametrize("d,samples", [(2, 70), (3, 50), (4, 9)])
+@pytest.mark.parametrize("d,samples", [(2, 70), (3, 50), (4, 9), (5, 3)])
 def test_twirl_average_matches_kron_reference_loop(d, samples):
-    # The sample counts cross the block boundaries of the Haar average.
+    # The sample counts cross the block boundaries of the Haar average; at
+    # d = 5 each chunk holds one sample.
     rng = np.random.default_rng(70 + d)
     sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
     ref = sum(_kron_conjugated(sup, haar_unitary(d, 3, k)) for k in range(samples)) / samples

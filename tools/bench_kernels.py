@@ -5,7 +5,11 @@
 Run from the root of a covmap checkout; the package is imported from its
 ``src/``.  Each record is the best of REPEAT calls of one kernel on
 fixed seeded input, after one warm-up call, in milliseconds: the best call
-reads the kernel's own cost rather than the load of a shared host.  The
+reads the kernel's own cost rather than the load of a shared host.  Both
+faces of the twirl's conjugation kernel are timed at the sample counts of
+the twirl_project workload in perfbench/: a 24-sample Haar average of a
+superoperator per d, and ``twirl_operator`` with 200 samples at
+(m, d) = (3, 3) and (3, 4).  The
 six command lines of acceptance criterion 12 (``criterion_12_invocations``
 in ``tests/test_cli_golden.py``) are timed the same way, in process through
 ``covmap.cli.main`` with ``--out`` to a scratch file and no COVMAP_CONFIG.
@@ -52,7 +56,13 @@ from covmap.multicopy import (  # noqa: E402
 from covmap.norms import cb_norm  # noqa: E402
 from covmap.operators import haar_unitary  # noqa: E402
 from covmap.serialize import coefficients_to_obj, dumps, matrix_from_obj, matrix_to_obj  # noqa: E402
-from covmap.twirl import conjugated_superoperator, covariance_deviation  # noqa: E402
+from covmap.twirl import (  # noqa: E402
+    _haar_average,
+    _superoperator_axes,
+    conjugated_superoperator,
+    covariance_deviation,
+    twirl_operator,
+)
 from covmap.twocopy import (  # noqa: E402
     CovariantCoefficients,
     extract,
@@ -65,6 +75,10 @@ from test_cli_golden import criterion_12_invocations  # noqa: E402
 # The (m, d) shapes of the multicopy_tables workload in perfbench/.
 MULTICOPY_MD = ((2, 3), (2, 6), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4))
 COVRES_SAMPLES = 4
+# Sample counts and operator shapes of the twirl_project workload in perfbench/.
+TWIRL_SAMPLES = 24
+TWIRL_OPERATOR_SAMPLES = 200
+TWIRL_OPERATOR_MD = ((3, 3), (3, 4))
 # (rows, cols) of the matrices the CLI reads and writes: a d = 5 superoperator
 # (classify, norm, twirl), an (m, d) = (3, 4) superoperator (multicopy
 # extract) and an operator on 3 copies of d = 4 (the multicopy apply output).
@@ -122,6 +136,9 @@ def cases(rng: np.random.Generator):
             yield "covariance_deviation", 2, d, lambda sup=sup, d=d: covariance_deviation(sup, d)
         u = haar_unitary(d, SEED, d)  # one twirl sample: the conjugation by one unitary
         yield "conjugated_superoperator", 2, d, lambda s=sup, u=u: conjugated_superoperator(s, u)
+        yield "haar_average", 2, d, lambda s=sup, d=d: _haar_average(
+            s, d, TWIRL_SAMPLES, SEED, _superoperator_axes
+        )
     for m, d in MULTICOPY_MD:
         lam = rng.standard_normal((math.factorial(m), m + 1)) + 1j * rng.standard_normal((math.factorial(m), m + 1))
         mc = MultiCopyCoefficients(m, d, lam)
@@ -132,6 +149,12 @@ def cases(rng: np.random.Generator):
         yield "apply_multi", m, d, lambda mc=mc, x=x: apply_multi(mc, x)
         yield "covariance_residual_multi", m, d, lambda sup=sup, m=m, d=d: covariance_residual_multi(
             sup, m, d, samples=COVRES_SAMPLES
+        )
+    # drawn last, so every input above stays as it was
+    for m, d in TWIRL_OPERATOR_MD:
+        t = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
+        yield "twirl_operator", m, d, lambda t=t, m=m, d=d: twirl_operator(
+            t, m, d, TWIRL_OPERATOR_SAMPLES, SEED
         )
 
 
@@ -206,6 +229,8 @@ def main(argv=None) -> int:
         "seed": SEED,
         "covariance_residual_multi_samples": COVRES_SAMPLES,
         "covariance_deviation_samples": 20,
+        "haar_average_samples": TWIRL_SAMPLES,
+        "twirl_operator_samples": TWIRL_OPERATOR_SAMPLES,
         "kernels": records,
         "cli": cli,
         "io": io,
