@@ -26,10 +26,10 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _largest_singular_value
-from .linalg import frobenius_norm, operator_norm, vec
-from .operators import _BLOCK, _check_samples, _gather, _haar_unitaries, _read_weights, _realize
-from .operators import _rows, _shaped, _span_fit, enumerate_permutations
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, operator_norm, vec
+from .operators import _gather, _read_weights, _realize, _rows, _shaped, _span_fit
+from .operators import enumerate_permutations
+from .twirl import _covariance_defect
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
 
 __all__ = [
@@ -144,35 +144,7 @@ def extract_multi(
     return mc, residual
 
 
-def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: int) -> float:
-    """Largest covariance defect over sampled unitaries and all matrix units.
-
-    Per sampled U, every unit image F(U E_ab U^dag) is compared at once
-    with W F(E_ab) W^dag, W = U^(x m), in operator norm.  The running
-    maximum goes into :func:`covmap.linalg._largest_singular_value` as its
-    floor, which solves the Gram spectrum of a unit defect only when a
-    Cholesky test cannot certify that defect below the maximum, and
-    returns the float a full spectrum of every defect would give.
-    """
-    _check_samples(samples)
-    dim = d**m
-
-    def images(cols: np.ndarray) -> np.ndarray:
-        return cols.T.reshape(d * d, dim, dim).transpose(0, 2, 1)
-
-    before = images(superop)
-    worst = 0.0
-    for start in range(0, samples, _BLOCK):
-        for u in _haar_unitaries(d, seed, range(start, min(start + _BLOCK, samples))):
-            w = reduce(np.kron, [u] * m)
-            defects = images(superop @ np.kron(u.conj(), u)) - w @ before @ w.conj().T
-            worst = _largest_singular_value(defects, worst)
-    return float(worst)
-
-
-def covariance_residual_multi(
-    superop, m: int, d: int, samples: int = 20, seed: int = 0
-) -> float:
+def covariance_residual_multi(superop, m: int, d: int, samples: int = 20, seed: int = 0) -> float:
     """Largest covariance defect over sampled unitaries and matrix units."""
     _check_desk(m, d)
     return _covariance_defect(_shaped(superop, d, m), m, d, samples, seed)

@@ -6,14 +6,14 @@ points are exactly the covariant maps, so averaging followed by weight
 extraction projects arbitrary maps onto the canonical family up to
 sampling error of order samples**-0.5.
 
-A sample views the array as a tensor with one length-d axis per digit and
-takes the axes two at a time: one GEMM applies the d^2 x d^2 Kronecker
-product of a pair's two d x d matrices, and no step copies the array.  That
-is 3 d^8 multiply-adds for a superoperator (axes as in
-conjugated_superoperator) and m d^(2m+2) for an operator on m copies (U on
-its row digits, conj(U) on its column digits): d/2 times the 6 d^7 and
-2m d^(2m+1) of one GEMM per axis, in exchange for half as many passes over
-the array and no transposing copy after each GEMM.
+One conjugation kernel and one Haar loop serve the twirl, twirl_operator
+and the covariance defect (covariance_deviation here and
+covariance_residual_multi in :mod:`covmap.multicopy`).  A sample views the
+array as a tensor with one length-d axis per digit and takes the axes two
+at a time, each pair as one GEMM by the d^2 x d^2 Kronecker product of its
+two d x d matrices, with no copy: (m+1) d^(2m+4) multiply-adds for a
+superoperator into m copies, m d^(2m+2) for an operator on m copies, d/2
+times one GEMM per axis but with half the passes and no transposing copy.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix
-from .multicopy import _covariance_defect
+from .linalg import DEFAULT_TOL, Tolerance, _largest_singular_value, as_matrix
 from .operators import _BLOCK, _check_samples, _haar_unitaries, _shaped
 from .twocopy import CovariantCoefficients, _recover
 
@@ -49,9 +48,10 @@ def conjugated_superoperator(superop, u) -> np.ndarray:
     return _conjugate(_shaped(superop, len(u)), _superoperator_axes(u))[0]
 
 
-def _superoperator_axes(u: np.ndarray) -> list[np.ndarray]:
+def _superoperator_axes(u: np.ndarray, m: int = 2) -> list[np.ndarray]:
+    """Digit-axis matrices of the superoperator of X -> W^dag F(U X U^dag) W, W = U^(x m)."""
     ut = np.swapaxes(u, -1, -2)
-    return [ut, ut, ut.conj(), ut.conj(), ut.conj(), ut]
+    return [ut] * m + [ut.conj()] * (m + 1) + [ut]
 
 
 def _conjugate(x: np.ndarray, mats) -> np.ndarray:
@@ -60,9 +60,9 @@ def _conjugate(x: np.ndarray, mats) -> np.ndarray:
     The axes, an even number, go in adjacent pairs, each multiplied in one
     GEMM by the d^2 x d^2 Kronecker product of its two matrices.  The operand
     goes in transposed, x^T K^T = (K x)^T, so the product already holds the
-    next pair first and is contiguous, and no step copies the array: 3 d^8
-    multiply-adds per superoperator sample, m d^(2m+2) per operator on m
-    copies.  Returns a stack.
+    next pair first and is contiguous, and no step copies the array:
+    (m+1) d^(2m+4) multiply-adds per sample of a superoperator into m
+    copies, m d^(2m+2) per operator on m copies.  Returns a stack.
     """
     shape, n = x.shape, mats[0].shape[-1] ** 2
     x = x.reshape(1, n, -1)
@@ -72,15 +72,43 @@ def _conjugate(x: np.ndarray, mats) -> np.ndarray:
     return x.reshape(-1, *shape)
 
 
-def _haar_average(x: np.ndarray, d: int, samples: int, seed: int, axes):
-    """Mean of _conjugate(x, axes(U_k)) over k < samples."""
-    # Conjugates go step at a time, at most 256 KB: cache-sized, and flat in samples.
-    acc, step = np.zeros_like(x), max(1, (1 << 18) // x.nbytes)
+def _conjugates(x: np.ndarray, d: int, samples: int, seed: int, axes):
+    """_conjugate(x, axes(U_k)) for k < samples, in order, as stacks of consecutive k."""
+    # A stack holds at most 256 KB (one conjugate if x is larger): cache-sized, and flat in samples.
+    step = max(1, (1 << 18) // x.nbytes)
     for start in range(0, samples, _BLOCK):
         us = _haar_unitaries(d, seed, range(start, min(start + _BLOCK, samples)))
         for i in range(0, len(us), step):
-            acc += _conjugate(x, axes(us[i : i + step])).sum(axis=0)
+            yield _conjugate(x, axes(us[i : i + step]))
+
+
+def _haar_average(x: np.ndarray, d: int, samples: int, seed: int, axes):
+    """Mean of _conjugate(x, axes(U_k)) over k < samples."""
+    acc = np.zeros_like(x)
+    for stack in _conjugates(x, d, samples, seed, axes):
+        acc += stack.sum(axis=0)
     return acc / samples
+
+
+def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: int) -> float:
+    """Largest covariance defect over sampled unitaries and all matrix units.
+
+    By unitary invariance of the norm, with W = U^(x m),
+    ||F(U X U^dag) - W F(X) W^dag|| = ||W^dag F(U X U^dag) W - F(X)||, so
+    the unit defects of one U are the images of the conjugated map minus
+    those of F: (m+1) d^(2m+4) multiply-adds per U, with F subtracted in the
+    conjugates' own memory.  The running maximum is the floor of
+    :func:`covmap.linalg._largest_singular_value`, which solves a Gram
+    spectrum only where a Cholesky test cannot certify the defect below it,
+    and returns the float a full spectrum of every defect gives.
+    """
+    _check_samples(samples)
+    dim, worst = d**m, 0.0
+    for stack in _conjugates(superop, d, samples, seed, lambda u: _superoperator_axes(u, m)):
+        stack -= superop
+        images = stack.reshape(-1, dim, dim, d * d).transpose(0, 3, 2, 1).reshape(-1, dim, dim)
+        worst = _largest_singular_value(images, worst)
+    return float(worst)
 
 
 def covariance_deviation(superop, d: int, samples: int = 20, seed: int = 0) -> float:
@@ -92,9 +120,9 @@ def covariance_deviation(superop, d: int, samples: int = 20, seed: int = 0) -> f
 class TwirlResult:
     """Averaged superoperator plus the extracted canonical weights.
 
-    residual is the operator-norm gap between the average and its
-    realized weights; deviation_before/after measure covariance of the
-    input and of the average over a fresh probe set.
+    residual is the operator-norm gap between the average and its realized
+    weights; deviation_before/after, the covariance defects of the input and
+    of the average, use the first deviation_samples unitaries of the average.
     """
 
     coefficients: CovariantCoefficients

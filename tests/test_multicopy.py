@@ -21,7 +21,7 @@ from covmap.multicopy import (
     slot_embedding,
     to_two_copy,
 )
-from covmap.twirl import covariance_deviation, twirl_operator
+from covmap.twirl import _conjugate, _superoperator_axes, covariance_deviation, twirl_operator
 from covmap.classify import commutant_fit
 from covmap.operators import _BLOCK, Permutation, _gather, _probes, _rows, _scatter, haar_unitary
 from covmap.operators import matrix_unit
@@ -479,20 +479,27 @@ def test_apply_multi_at_the_size_cap_realizes_nothing():
     assert image.tobytes() == _loop_apply(mc, x).tobytes()
 
 
-def _stacked_defect(sup, m, d, samples, seed, norms):
-    """The covariance defect with norms() of the whole stack of unit defects per sampled unitary."""
-    dim = d**m
+def _images(cols, m, d):
+    """The d^2 unit images of a superoperator into m copies, stacked."""
+    return cols.T.reshape(d * d, d**m, d**m).transpose(0, 2, 1)
 
-    def images(cols):
-        return cols.T.reshape(d * d, dim, dim).transpose(0, 2, 1)
 
-    before = images(sup)
+def _kron_defects(sup, u, m, d):
+    """F(U E_ab U^dag) - W F(E_ab) W^dag for every matrix unit, with W = U^(x m) built by kron."""
+    w = reduce(np.kron, [u] * m)
+    return _images(sup @ np.kron(u.conj(), u), m, d) - w @ _images(sup, m, d) @ w.conj().T
+
+
+def _kernel_defects(sup, u, m, d):
+    """The same defects conjugated back, W^dag F(U E_ab U^dag) W - F(E_ab), by the kernel."""
+    return _images(_conjugate(sup, _superoperator_axes(u, m))[0] - sup, m, d)
+
+
+def _stacked_defect(sup, m, d, samples, seed, norms, defects=_kernel_defects):
+    """The covariance defect with norms() of each sampled unitary's whole stack of unit defects."""
     worst = 0.0
     for k in range(samples):
-        u = haar_unitary(d, seed, k)
-        w = reduce(np.kron, [u] * m)
-        defects = images(sup @ np.kron(u.conj(), u)) - w @ before @ w.conj().T
-        worst = max(worst, float(norms(defects).max()))
+        worst = max(worst, float(norms(defects(sup, haar_unitary(d, seed, k), m, d)).max()))
     return worst
 
 
@@ -508,7 +515,8 @@ def test_covariance_defect_matches_the_stacked_svd(m, d):
     sup = realize_multi_superoperator(MultiCopyCoefficients(m, d, lam))
     for noisy in (sup + 1e-3 * rng.standard_normal(sup.shape), rng.standard_normal(sup.shape)):
         got = covariance_residual_multi(noisy, m, d, samples=2, seed=4)
-        assert got == pytest.approx(_stacked_defect(noisy, m, d, 2, 4, _stacked_svd_norms), rel=1e-12)
+        want = _stacked_defect(noisy, m, d, 2, 4, _stacked_svd_norms, _kron_defects)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def _hermiticity_preserving(sup, m, d):
@@ -553,6 +561,27 @@ def test_covariance_defect_past_one_block_of_unitaries():
         samples = _BLOCK + 6
         want = _stacked_defect(sup, 2, 2, samples, 3, _top_singular_values)
         assert covariance_residual_multi(sup, 2, 2, samples, 3) == want
+
+
+def _defect_peak(sup, m, d, samples):
+    covariance_residual_multi(sup, m, d, samples=1, seed=0)  # index caches and BLAS buffers
+    tracemalloc.start()
+    try:
+        covariance_residual_multi(sup, m, d, samples=samples, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_covariance_defect_memory_is_near_input_size_and_flat_in_samples():
+    # Conjugates are stacked across unitaries, at most 256 KB per stack unless
+    # one conjugate is larger, and the defects are formed in their memory.
+    rng = np.random.default_rng(44)
+    sup = rng.standard_normal((4**8, 16)) + 1j * rng.standard_normal((4**8, 16))
+    assert _defect_peak(sup, 4, 4, 1) < 4 * sup.nbytes
+    sup = rng.standard_normal((81, 9)) + 1j * rng.standard_normal((81, 9))
+    assert _defect_peak(sup, 2, 3, 500) < 1.1 * _defect_peak(sup, 2, 3, 50)
 
 
 @pytest.mark.parametrize("exponent", [-500, 500])
