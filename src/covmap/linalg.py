@@ -114,10 +114,33 @@ def operator_norm(a) -> float:
 _GRAM_EXPONENT = 400
 
 
+# Fewest entries of a p x q matrix, p >= 4 q, whose Gram matrix is one real
+# product.  Measured (numpy 2.4, OpenBLAS 0.3.31, 2 cores), the real route
+# took 0.42-0.88x the complex one from 625 x 25 to 46656 x 36, but 1.4-1.5x
+# at 256 x 16 and 512 x 16, and 1.0-2.1x on square and 2:1 shapes.
+_REAL_GRAM_ENTRIES = 12_000
+
+
 def _gram(a: np.ndarray) -> np.ndarray:
-    """Gram matrix on the smaller side of each matrix in a stack: a^dag a or a a^dag."""
+    """Gram matrix on the smaller side of each matrix in a stack: a^dag a or a a^dag.
+
+    A single large tall C-contiguous complex128 matrix a = x + i y is read
+    as the real matrix b of its interleaved parts, whose symmetric b^T b is
+    one BLAS rank-k update, and a^dag a = (x^T x + y^T y) + i (x^T y - y^T x)
+    is put together from its quarters: half the multiply-adds of the complex
+    product, and no conjugated copy.
+    """
+    p, q = a.shape[-2:]
+    tall = a.ndim == 2 and p >= 4 * q and p * q >= _REAL_GRAM_ENTRIES
+    if tall and a.dtype == np.complex128 and a.flags.c_contiguous:
+        b = a.view(np.float64)
+        g = b.T @ b
+        gram = np.empty((q, q), dtype=np.complex128)
+        np.add(g[0::2, 0::2], g[1::2, 1::2], out=gram.real)
+        np.subtract(g[0::2, 1::2], g[1::2, 0::2], out=gram.imag)
+        return gram
     h = np.conj(np.swapaxes(a, -1, -2))
-    return h @ a if a.shape[-2] >= a.shape[-1] else a @ h
+    return h @ a if p >= q else a @ h
 
 
 def _gram_top_eigenvalues(a: np.ndarray) -> np.ndarray:

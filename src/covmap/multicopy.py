@@ -14,8 +14,9 @@ d >= m + 1, which is what entrywise extraction requires.
 Desk-scale guard: 2 <= m <= 4 and d**m <= 256.
 
 Slot permutations, generator positions, the realize scatter and its
-inverse, the weight read, are the index kernel of :mod:`covmap.operators`;
-this module is its m-copy face.
+inverse, the weight read, and the residual on the realized support are
+the index kernel of :mod:`covmap.operators`; this module is its m-copy
+face.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, operator_norm, vec
-from .operators import _gather, _read_weights, _realize, _rows, _shaped, _span_fit
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, vec
+from .operators import _gather, _permutation_ones, _read_weights, _realize, _residual, _shaped
+from .operators import _span_fit, _support_sums
 from .operators import enumerate_permutations
 from .twirl import _covariance_defect
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
@@ -140,8 +142,7 @@ def extract_multi(
         )
     superop = _shaped(superop, d, m)
     mc = MultiCopyCoefficients(m, d, _read_weights(superop, m, d))
-    residual = operator_norm(superop - realize_multi_superoperator(mc))
-    return mc, residual
+    return mc, _residual(superop, mc.lam, m, d)
 
 
 def covariance_residual_multi(superop, m: int, d: int, samples: int = 20, seed: int = 0) -> float:
@@ -176,9 +177,11 @@ def schur_weyl_fit(t, m: int, d: int) -> SchurWeylFit:
 
 def _schur_weyl(t: np.ndarray, m: int, d: int) -> SchurWeylFit:
     """The solve behind :func:`schur_weyl_fit`, without the desk-scale cap."""
-    positions = np.arange(d**m) * d**m + _rows(m, d)  # P(s) has its ones at (x, r_s[x])
-    coeffs, approx, degenerate = _span_fit(t.reshape(-1), positions)
-    return SchurWeylFit(coeffs, frobenius_norm(t - approx.reshape(t.shape)), degenerate)
+    positions, support, inverse = _permutation_ones(m, d)
+    coeffs, degenerate = _span_fit(t.reshape(-1), positions)
+    difference = t.copy()  # minus the span element, taken on its support
+    difference.reshape(-1)[support] -= _support_sums(inverse, support.size, coeffs)
+    return SchurWeylFit(coeffs, frobenius_norm(difference), degenerate)
 
 
 def from_two_copy(c: CovariantCoefficients) -> MultiCopyCoefficients:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, operator_norm
-from .operators import _read_weights, _realize, _rows, _scatter, _shaped, _span_fit
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance
+from .operators import _read_weights, _realize, _residual, _rows, _scatter, _shaped, _span_fit
 
 __all__ = [
     "GAUGE_DIRECTION",
@@ -152,9 +152,8 @@ def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoe
     if d == 2:
         raise GaugeAmbiguousError("weights are not unique at d = 2")
     superop = _shaped(superop, d)
-    c = CovariantCoefficients(d, _read_weights(superop, 2, d).reshape(-1)[_UNTABLE])
-    residual = operator_norm(superop - realize_superoperator(c))
-    return c, residual
+    table = _read_weights(superop, 2, d)
+    return CovariantCoefficients(d, table.reshape(-1)[_UNTABLE]), _residual(superop, table, 2, d)
 
 
 def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
@@ -170,10 +169,9 @@ def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
     # Weight k sits at table entry (i, j); its generator's ones are flat[i, hits[:, j]].
     table = zip(*np.unravel_index(_UNTABLE, _TABLE.shape))
     positions = np.stack([flat[i, hits[:, j]] for i, j in table])
-    sol, _, _ = _span_fit(superop.reshape(-1), positions)
+    sol, _ = _span_fit(superop.reshape(-1), positions)
     c = gauge_reduce(CovariantCoefficients(d, tuple(sol)))
-    residual = operator_norm(superop - realize_superoperator(c))
-    return c, residual
+    return c, _residual(superop, c.as_array()[_TABLE], 2, d)
 
 
 def _recover(superop, d: int, tol: Tolerance) -> tuple[CovariantCoefficients, float]:

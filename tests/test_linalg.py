@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import covmap.linalg
 from covmap.linalg import (
+    _REAL_GRAM_ENTRIES,
     DimensionError,
+    _gram,
     _largest_singular_value,
     _top_singular_values,
     NotHermitianError,
@@ -186,6 +188,44 @@ def test_operator_norm_on_residual_shapes(m, d):
     rng = np.random.default_rng(10 * m + d)
     a = _rand(rng, d ** (2 * m), d * d)
     assert abs(operator_norm(a) - np.linalg.norm(a, 2)) <= 16 * EPS * np.linalg.norm(a, 2)
+
+
+def test_tall_gram_is_the_complex_product_and_exactly_hermitian():
+    # Shapes past the real-route rule: 625 x 25 just past it, then the
+    # (m, d) = (2, 6) and (3, 4) residual shapes.
+    rng = np.random.default_rng(15)
+    for p, q in [(625, 25), (1296, 36), (4096, 16)]:
+        assert p >= 4 * q and p * q >= _REAL_GRAM_ENTRIES
+        a = _rand(rng, p, q)
+        got = _gram(a)
+        want = a.conj().T @ a
+        assert got.dtype == np.complex128 and got.shape == (q, q)
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - want).max() <= 16 * EPS * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p,q", [(625, 25), (1296, 36), (4096, 16)])
+def test_top_singular_values_of_tall_inputs_in_every_layout(p, q):
+    # Only a C-contiguous complex128 matrix can be read as real pairs; the
+    # others take the complex product, and out-of-range scales are redone
+    # on the rescaled matrix, which takes the real product again.
+    rng = np.random.default_rng(p + q)
+    a = _rand(rng, 2 * p, 2 * q)
+    inputs = {
+        "c-contiguous": a[:p, :q].copy(),
+        "real": a.real[:p, :q].copy(),
+        "fortran": np.asfortranarray(a[:p, :q]),
+        "row-strided": a[::2, :q],
+        "column-strided": a[:p, ::2],
+        "2**-500": a[:p, :q] * 2.0**-500,  # exact
+        "2**500": a[:p, :q] * 2.0**500,
+    }
+    for name, x in inputs.items():
+        want = np.linalg.norm(x, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [_top_singular_values(x), operator_norm(x)]
+        assert np.all(np.abs(np.subtract(got, want)) <= 16 * EPS * want), name
 
 
 def test_top_singular_values_of_zero_are_exactly_zero():

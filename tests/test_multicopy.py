@@ -7,7 +7,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from covmap.linalg import DimensionError, _top_singular_values, hs_inner, unvec, vec
+from covmap.linalg import _REAL_GRAM_ENTRIES, DimensionError, _top_singular_values
+from covmap.linalg import hs_inner, unvec, vec
 from covmap.multicopy import (
     MultiCopyCoefficients,
     UniquenessUnavailableError,
@@ -30,6 +31,7 @@ from covmap.twocopy import (
     CovariantCoefficients,
     apply_map,
     extract,
+    fit_coefficients,
     realize_superoperator,
     virtual_broadcast_coefficients,
 )
@@ -234,6 +236,65 @@ def test_extract_non_covariant_residual_frozen():
     assert res > 0.01
     assert res == pytest.approx(17.130226809959122, rel=1e-9)
     assert res == extract(sup, 3)[1]
+
+
+EPS = np.finfo(float).eps
+# Residual shapes d^(2m) x d^2 on both sides of the Gram route rule of
+# covmap.linalg._gram: (2, 3) and (2, 4) take the complex product, the
+# others the real rank-k one.
+RESIDUAL_SHAPES = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)]
+
+
+def test_residual_shapes_cover_both_gram_routes():
+    shapes = [(d ** (2 * m), d * d) for m, d in RESIDUAL_SHAPES]
+    real = [p >= 4 * q and p * q >= _REAL_GRAM_ENTRIES for p, q in shapes]
+    assert real == [False, False, True, True, True, True, True]
+
+
+def _svd_residual(superop, realized):
+    return np.linalg.norm(superop - realized, 2)
+
+
+@pytest.mark.parametrize("m,d", RESIDUAL_SHAPES)
+def test_extraction_and_fit_residuals_match_the_svd(m, d):
+    rng = np.random.default_rng(300 + 10 * m + d)
+    shape = (math.factorial(m), m + 1)
+    lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    exact = realize_multi_superoperator(MultiCopyCoefficients(m, d, lam))
+    sup = exact + 1e-3 * (rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape))
+    got, residual = extract_multi(sup, m, d)
+    want = _svd_residual(sup, realize_multi_superoperator(got))
+    assert abs(residual - want) <= 16 * EPS * want
+    if m == 2:
+        for recover in (extract, fit_coefficients):
+            c, residual = recover(sup, d)
+            want = _svd_residual(sup, realize_superoperator(c))
+            assert abs(residual - want) <= 16 * EPS * want
+
+
+def _peak(call):
+    call()  # index caches and BLAS buffers
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_extraction_residual_takes_one_copy_of_the_input():
+    # The difference is a copy of the input changed on the realized support
+    # alone, and the tall Gram product needs no conjugated copy: a dense
+    # realization or difference, or a conjugated copy, would add 1x.
+    rng = np.random.default_rng(45)
+    lam = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    sup = realize_multi_superoperator(MultiCopyCoefficients(3, 6, lam))
+    sup += 1e-3 * rng.standard_normal(sup.shape)
+    assert _peak(lambda: extract_multi(sup, 3, 6)) < 1.5 * sup.nbytes
+    c = CovariantCoefficients(6, tuple(rng.standard_normal(6)))
+    sup = realize_superoperator(c) + 1e-3 * rng.standard_normal((6**4, 36))
+    assert _peak(lambda: extract(sup, 6)) < 1.5 * sup.nbytes
 
 
 def test_covariance_residual_multi_cases():

@@ -9,10 +9,13 @@ reads the kernel's own cost rather than the load of a shared host.  Both
 faces of the twirl's conjugation kernel are timed at the sample counts of
 the twirl_project workload in perfbench/: a 24-sample Haar average of a
 superoperator per d, and ``twirl_operator`` with 200 samples at
-(m, d) = (3, 3) and (3, 4).  The
-six command lines of acceptance criterion 12 (``criterion_12_invocations``
-in ``tests/test_cli_golden.py``) are timed the same way, in process through
-``covmap.cli.main`` with ``--out`` to a scratch file and no COVMAP_CONFIG.
+(m, d) = (3, 3) and (3, 4).  The operator norm of a residual
+``superop - realize``, the d^(2m) x d^2 matrix whose Gram product the
+extraction residuals pay for, is timed at every two-copy d and at every
+m-copy shape with m >= 3.  The six command lines of acceptance criterion
+12 (``criterion_12_invocations`` in ``tests/test_cli_golden.py``) are timed
+the same way, in process through ``covmap.cli.main`` with ``--out`` to a
+scratch file and no COVMAP_CONFIG.
 So are the JSON matrix reader and writer (``matrix_from_obj`` on a parsed
 file, ``matrix_to_obj`` on an array) at the sizes the command line meets,
 and one ``main`` call on a weight file, where argument parsing is a large
@@ -142,8 +145,11 @@ def cases(rng: np.random.Generator):
     for m, d in MULTICOPY_MD:
         lam = rng.standard_normal((math.factorial(m), m + 1)) + 1j * rng.standard_normal((math.factorial(m), m + 1))
         mc = MultiCopyCoefficients(m, d, lam)
-        sup = noisy(realize_multi_superoperator(mc))
+        exact = realize_multi_superoperator(mc)
+        sup = noisy(exact)
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if m >= 3:  # the m = 2 residual shapes are timed in the two-copy loop above
+            yield "operator_norm_residual", m, d, lambda s=sup, e=exact: operator_norm(s - e)
         if d >= m + 1:
             yield "extract_multi", m, d, lambda sup=sup, m=m, d=d: extract_multi(sup, m, d)
         yield "apply_multi", m, d, lambda mc=mc, x=x: apply_multi(mc, x)
