@@ -177,8 +177,8 @@ def schur_weyl_fit(t, m: int, d: int) -> SchurWeylFit:
 
 def _schur_weyl(t: np.ndarray, m: int, d: int) -> SchurWeylFit:
     """The solve behind :func:`schur_weyl_fit`, without the desk-scale cap."""
-    positions, support, inverse = _permutation_ones(m, d)
-    coeffs, degenerate = _span_fit(t.reshape(-1), positions)
+    span, support, inverse = _permutation_ones(m, d)
+    coeffs, degenerate = _span_fit(t.reshape(-1), span)
     difference = t.copy()  # minus the span element, taken on its support
     difference.reshape(-1)[support] -= _support_sums(inverse, support.size, coeffs)
     return SchurWeylFit(coeffs, frobenius_norm(difference), degenerate)

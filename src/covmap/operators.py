@@ -14,16 +14,17 @@ columns, so the image of E_ab is column (b-1) d + (a-1) and its entry
 family being m = 2, are therefore realized, extracted and fitted by
 scattering and gathering single entries instead of multiplying by dense
 permutations, and least squares over a span of such 0/1 elements is one
-exact Gram solve over their positions (``_span_fit``).  A residual
-against a realized map is taken on the realized support alone
-(``_residual``).
+exact Gram solve over their positions (``_span_fit``), whose Gram matrix
+is counted once per basis (``_span``).  A residual against a realized map
+is taken on the realized support alone (``_residual``).
 
 Cache: the row indices, the scatter positions of the generators, their
-joint support, the ones of the permutation operators and the image
-entries that apply gathers depend on (m, d) alone.  Each (m, d) is
-built on first use and kept for the life of the process; the cache holds
-this structure only, never weights or results.  It takes about 2.7 MB at
-(4, 4) and about 8.4 MB for all 23 pairs inside the multicopy desk cap.
+joint support, the ones of the permutation operators with their Gram
+matrix and the image entries that apply gathers depend on (m, d) alone.
+Each (m, d) is built on first use and kept for the life of the process;
+the cache holds this structure only, never weights or results.  It takes
+about 2.7 MB at (4, 4) and about 8.4 MB for all 23 pairs inside the
+multicopy desk cap.
 """
 
 from __future__ import annotations
@@ -209,16 +210,15 @@ def _rows(m: int, d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _permutation_ones(m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _permutation_ones(m: int, d: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Where the operators P(s) have their ones, as flat indices of a d^m x d^m matrix.
 
-    Returns (positions, support, inverse): positions[i, x] is the one in
-    row x of P(s_i), at column r_i[x], and support and inverse are the
-    _joint_support of positions.
+    Returns (span, support, inverse): span is the _span of positions, where
+    positions[i, x] is the one in row x of P(s_i), at column r_i[x], and
+    support and inverse are the _joint_support of positions.
     """
     positions = np.arange(d**m) * d**m + _rows(m, d)
-    positions.setflags(write=False)
-    return (positions, *_joint_support(positions))
+    return (_span(positions), *_joint_support(positions))
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,30 +384,39 @@ def _read_weights(superop: np.ndarray, m: int, d: int) -> np.ndarray:
     return superop.flat[_probes(m, d)]
 
 
-def _span_fit(target: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Least-squares weights of a flat array over basis elements of ones.
+def _span(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(positions, solver, degenerate) of basis elements of ones, for _span_fit.
 
     positions[k, x] is the flat index of the x-th one of element k, ordered
     so that two elements share a one only at the same x (slot row x, or
     output column and input digit).  The Gram matrix counts those matches,
-    so it is exact; a singular (degenerate) one gives the least-norm
-    weights.  Returns (weights, degenerate).
+    so it is exact; the solver is that Gram matrix, or its pseudo-inverse
+    when it is singular (degenerate).
     """
-    n = len(positions)
     gram = (positions[:, None, :] == positions[None, :, :]).sum(axis=2)
+    degenerate = bool(np.linalg.matrix_rank(gram, hermitian=True) < len(positions))
+    solver = np.linalg.pinv(gram, hermitian=True) if degenerate else gram
+    for a in (positions, solver):
+        a.setflags(write=False)
+    return positions, solver, degenerate
+
+
+def _span_fit(target: np.ndarray, span) -> tuple[np.ndarray, bool]:
+    """(Least-norm) least-squares weights of a flat array over a _span, and its degeneracy."""
+    positions, solver, degenerate = span
     rhs = target[positions].sum(axis=1)
-    degenerate = bool(np.linalg.matrix_rank(gram, hermitian=True) < n)
-    if degenerate:
-        return np.linalg.pinv(gram, hermitian=True) @ rhs, degenerate
-    return np.linalg.solve(gram, rhs), degenerate
+    return (solver @ rhs if degenerate else np.linalg.solve(solver, rhs)), degenerate
 
 
-def _key(seed: int, index: int, stream: int) -> np.ndarray:
-    """Philox key of the substream (seed, index, stream)."""
-    if index < 0 or index >= 1 << 40:
-        raise ValueError(f"substream index {index} out of range")
-    word = ((stream & 0xFFFFFF) << 40) | index
-    return np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
+def _keys(seed: int, indices, stream: int) -> np.ndarray:
+    """Philox keys of the substreams (seed, k, stream) for k in indices, one row each."""
+    bad = next((k for k in indices if not 0 <= k < 1 << 40), None)
+    if bad is not None:
+        raise ValueError(f"substream index {bad} out of range")
+    keys = np.full((len(indices), 2), (stream & 0xFFFFFF) << 40, dtype=np.uint64)
+    keys[:, 0] = seed & _MASK64
+    keys[:, 1] |= np.fromiter(indices, np.uint64, len(indices))
+    return keys
 
 
 def substream(seed: int, index: int = 0, stream: int = 0) -> np.random.Generator:
@@ -416,7 +425,7 @@ def substream(seed: int, index: int = 0, stream: int = 0) -> np.random.Generator
     Distinct triples give statistically independent streams, so sampling
     loops can address sample k directly without drawing k-1 predecessors.
     """
-    return np.random.Generator(np.random.Philox(key=_key(seed, index, stream)))
+    return np.random.Generator(np.random.Philox(key=_keys(seed, [index], stream)[0]))
 
 
 def _normals(seed: int, indices, stream: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -432,8 +441,8 @@ def _normals(seed: int, indices, stream: int, shape: tuple[int, ...]) -> np.ndar
     state = bitgen.state
     state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     state["state"]["counter"][:] = 0
-    for row, index in zip(out, indices):
-        state["state"]["key"] = _key(seed, index, stream)
+    for row, key in zip(out, _keys(seed, indices, stream)):
+        state["state"]["key"] = key
         bitgen.state = state
         rng.standard_normal(out=row)
     return out

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionError, Tolerance
-from .operators import _read_weights, _realize, _residual, _rows, _scatter, _shaped, _span_fit
+from .operators import _read_weights, _realize, _residual, _rows, _scatter, _shaped, _span
+from .operators import _span_fit
 
 __all__ = [
     "GAUGE_DIRECTION",
@@ -165,13 +166,18 @@ def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
     scrubs floating-point dust.  Returns (coefficients, operator-norm residual).
     """
     superop = _shaped(superop, d)
+    sol, _ = _span_fit(superop.reshape(-1), _generator_span(d))
+    c = gauge_reduce(CovariantCoefficients(d, tuple(sol)))
+    return c, _residual(superop, c.as_array()[_TABLE], 2, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_span(d: int) -> tuple:
+    """The _span of the six generators' ones, in weight order."""
     hits, flat = _scatter(2, d)
     # Weight k sits at table entry (i, j); its generator's ones are flat[i, hits[:, j]].
     table = zip(*np.unravel_index(_UNTABLE, _TABLE.shape))
-    positions = np.stack([flat[i, hits[:, j]] for i, j in table])
-    sol, _ = _span_fit(superop.reshape(-1), positions)
-    c = gauge_reduce(CovariantCoefficients(d, tuple(sol)))
-    return c, _residual(superop, c.as_array()[_TABLE], 2, d)
+    return _span(np.stack([flat[i, hits[:, j]] for i, j in table]))
 
 
 def _recover(superop, d: int, tol: Tolerance) -> tuple[CovariantCoefficients, float]:

@@ -63,6 +63,17 @@ equal in operator norm, so ``deviation_before`` moved 0.9090772678313863
 -> 0.9090772678313864 and ``deviation_after`` 0.09177124341126588 ->
 0.09177124341126576; the average, the weights, ``residual``, ``samples``
 and ``seed`` kept their bytes.
+
+``twirl.json`` was recaptured by the commit that folds the Haar sample sum
+into the last pair GEMM of both twirl averages ("Fold the Haar sample sum
+into the last pair GEMM"): each stack of conjugates is summed inside one
+GEMM over (sample, pair axes) instead of by a sum over the finished stack,
+so the average moved in its last bits.  The real parts of weights 5 and 6
+moved 0.04817881041200696 -> 0.04817881041200697, ``residual``
+0.09477903930604557 -> 0.09477903930604564, ``deviation_after``
+0.09177124341126576 -> 0.0917712434112658, and the six imaginary weight
+parts (all below 6e-19) moved; the first four real weights,
+``deviation_before``, ``samples`` and ``seed`` kept their bytes.
 """
 
 from pathlib import Path

@@ -28,10 +28,13 @@ from covmap.operators import _BLOCK, Permutation, _gather, _probes, _rows, _scat
 from covmap.operators import matrix_unit
 from covmap.operators import permutation_operator
 from covmap.twocopy import (
+    _TABLE,
+    _UNTABLE,
     CovariantCoefficients,
     apply_map,
     extract,
     fit_coefficients,
+    gauge_reduce,
     realize_superoperator,
     virtual_broadcast_coefficients,
 )
@@ -671,6 +674,35 @@ def test_generator_positions_meet_the_span_fit_order(m, d):
     assert all(np.unique(row).size == row.size for row in positions)
 
 
+def _recounted_span_fit(target, positions):
+    """Least squares over basis elements of ones with the Gram matrix counted afresh."""
+    gram = (positions[:, None, :] == positions[None, :, :]).sum(axis=2)
+    rhs = target[positions].sum(axis=1)
+    if np.linalg.matrix_rank(gram, hermitian=True) < len(positions):
+        return np.linalg.pinv(gram, hermitian=True) @ rhs
+    return np.linalg.solve(gram, rhs)
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3), (4, 4)])
+def test_cached_span_fits_have_the_bits_of_a_recounted_gram(m, d):
+    # The Gram matrix is an exact count, so counting it once per (m, d)
+    # keeps every weight's bits, degenerate spans (m > d) included.
+    rng = np.random.default_rng(500 + 10 * m + d)
+    t = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
+    positions = np.arange(d**m) * d**m + _rows(m, d)
+    fit = schur_weyl_fit(t, m, d)
+    assert fit.coefficients.tobytes() == _recounted_span_fit(t.reshape(-1), positions).tobytes()
+    assert fit.degenerate == (m > d)
+    if m == 2:
+        sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+        hits, flat = _scatter(2, d)
+        table = zip(*np.unravel_index(_UNTABLE, _TABLE.shape))
+        generators = np.stack([flat[i, hits[:, j]] for i, j in table])
+        want = _recounted_span_fit(sup.reshape(-1), generators)
+        want = gauge_reduce(CovariantCoefficients(d, tuple(want))).as_array()
+        assert fit_coefficients(sup, d)[0].as_array().tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_two_copy_defect_is_the_m2_view(d):
     rng = np.random.default_rng(200 + d)
@@ -679,11 +711,16 @@ def test_two_copy_defect_is_the_m2_view(d):
 
 
 @pytest.mark.parametrize(
-    "m,d,samples", [(2, 2, 70), (2, 3, 70), (3, 3, 40), (3, 4, 20), (4, 3, 5), (2, 6, 15)]
+    "m,d,samples",
+    [(2, 2, 70), (2, 3, 70), (3, 3, 40), (3, 4, 20), (4, 3, 5), (2, 6, 15)]
+    + [(3, 3, 21), (3, 3, 22), (3, 3, 23), (3, 3, 64), (3, 3, 65), (1, 3, 30)],
 )
 def test_twirl_operator_matches_kron_sandwich_reference(m, d, samples):
     # The Kronecker sandwich the digit-axis kernel replaced; the sample
-    # counts cross the block boundaries of the Haar average.
+    # counts cross the block boundaries of the Haar average.  At (3, 3) a
+    # stack of 22 samples is summed in the last pair's GEMM: one short
+    # stack, one full, one full plus one, a whole block of unitaries and one
+    # past it.  At m = 1 that GEMM is the only pair.
     rng = np.random.default_rng(300 + 10 * m + d)
     t = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
     ref = np.zeros_like(t)
@@ -692,6 +729,24 @@ def test_twirl_operator_matches_kron_sandwich_reference(m, d, samples):
         ref += um @ t @ um.conj().T
     got = twirl_operator(t, m, d, samples=samples, seed=8)
     assert np.abs(got - ref / samples).max() <= 1e-13 * np.abs(t).max()
+
+
+def _operator_twirl_peak(t, m, d, samples):
+    twirl_operator(t, m, d, samples=1, seed=0)  # BLAS buffers
+    tracemalloc.start()
+    try:
+        twirl_operator(t, m, d, samples=samples, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_twirl_operator_memory_is_flat_in_samples():
+    # Each stack of conjugates is summed into the average as it is formed.
+    rng = np.random.default_rng(45)
+    t = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    assert _operator_twirl_peak(t, 3, 4, 400) < 1.1 * _operator_twirl_peak(t, 3, 4, 50)
 
 
 def test_twirl_operator_refuses_sample_count_beyond_substream_range():

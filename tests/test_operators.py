@@ -194,13 +194,25 @@ def test_gaussian_hermitian_is_hermitian():
     assert np.abs(h - h.conj().T).max() == 0.0
 
 
-@pytest.mark.parametrize("seed", [0, 12, 2**63 + 5, -7])
+@pytest.mark.parametrize("seed", [0, 12, 2**63 + 5, -7, -(2**63), 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 1])
 def test_stacked_normals_are_bit_equal_to_substream_draws(seed, stream):
-    indices = list(range(_BLOCK + 5)) + [2**40 - 1, 3]  # past one block, out of order
+    # Past one block, out of order, and up to the last substream index.
+    indices = list(range(_BLOCK + 5)) + [2**40 - 1, 3, 2**40 - 2, 2**39, 2**32 + 1]
     stacked = _normals(seed, indices, stream, (2, 3, 3))
     per_index = [substream(seed, k, stream).standard_normal((2, 3, 3)) for k in indices]
     assert stacked.tobytes() == np.stack(per_index).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**64 - 1, 2**64 + 3])
+@pytest.mark.parametrize("stream", [0, 1, 2**24 + 1])
+@pytest.mark.parametrize("index", [0, 5, 2**40 - 1])
+def test_substream_key_is_seed_then_stream_and_index(seed, stream, index):
+    # Philox key (seed mod 2**64, (stream mod 2**24) * 2**40 + index).
+    key = np.array([seed % 2**64, (stream % 2**24) * 2**40 + index], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).standard_normal(7)
+    assert substream(seed, index, stream).standard_normal(7).tobytes() == want.tobytes()
+    assert _normals(seed, [index], stream, (7,)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -212,9 +224,11 @@ def test_stacked_gaussian_hermitians_are_bit_equal_to_per_index_draws(d):
 
 
 def test_stacked_normals_refuse_index_outside_substream_range():
-    for index in (-1, 2**40):
-        with pytest.raises(ValueError):
-            _normals(0, [index], 0, (2,))
+    for index in (-1, 2**40, 2**64):
+        with pytest.raises(ValueError, match=f"^substream index {index} out of range$"):
+            _normals(0, [3, index, 2**41], 0, (2,))
+        with pytest.raises(ValueError, match=f"^substream index {index} out of range$"):
+            substream(0, index)
 
 
 def _per_index_haar(d, seed, index):

@@ -159,12 +159,15 @@ def test_conjugated_superoperator_matches_kron_reference(d):
 @pytest.mark.parametrize("d,samples", [(2, 70), (3, 50), (4, 9), (5, 3)])
 def test_twirl_average_matches_kron_reference_loop(d, samples):
     # The sample counts cross the block boundaries of the Haar average; at
-    # d = 5 each chunk holds one sample.
+    # d = 5 each stack, summed in the last pair's GEMM, holds one sample.
     rng = np.random.default_rng(70 + d)
     sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
     ref = sum(_kron_conjugated(sup, haar_unitary(d, 3, k)) for k in range(samples)) / samples
     got = twirl(sup, d, samples=samples, seed=3, deviation_samples=1).averaged
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(sup).max()
+    # the summed GEMM against the conjugates one at a time
+    ref = sum(conjugated_superoperator(sup, haar_unitary(d, 3, k)) for k in range(samples))
+    assert np.abs(got - ref / samples).max() <= 1e-13 * np.abs(sup).max()
 
 
 def test_conjugated_superoperator_rejects_mismatched_shapes():
@@ -188,3 +191,22 @@ def test_conjugated_superoperator_memory_stays_near_input_size():
     finally:
         tracemalloc.stop()
     assert peak < 6 * sup.nbytes
+
+
+def _twirl_peak(sup, d, samples):
+    twirl(sup, d, samples=1, deviation_samples=1)  # index caches and BLAS buffers
+    tracemalloc.start()
+    try:
+        twirl(sup, d, samples=samples, deviation_samples=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_twirl_memory_is_flat_in_samples():
+    # Each stack of conjugates is summed into the average as it is formed.
+    d = 4
+    rng = np.random.default_rng(86)
+    sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+    assert _twirl_peak(sup, d, 400) < 1.1 * _twirl_peak(sup, d, 50)

@@ -9,10 +9,11 @@ reads the kernel's own cost rather than the load of a shared host.  Both
 faces of the twirl's conjugation kernel are timed at the sample counts of
 the twirl_project workload in perfbench/: a 24-sample Haar average of a
 superoperator per d, and ``twirl_operator`` with 200 samples at
-(m, d) = (3, 3) and (3, 4).  The operator norm of a residual
-``superop - realize``, the d^(2m) x d^2 matrix whose Gram product the
-extraction residuals pay for, is timed at every two-copy d and at every
-m-copy shape with m >= 3.  The six command lines of acceptance criterion
+(m, d) = (3, 3) and (3, 4).  ``schur_weyl_fit`` is timed at every
+m-copy shape, on the image that ``apply_multi`` returns there.  The
+operator norm of a residual ``superop - realize``, the d^(2m) x d^2
+matrix whose Gram product the extraction residuals pay for, is timed at
+every two-copy d and at every m-copy shape with m >= 3.  The six command lines of acceptance criterion
 12 (``criterion_12_invocations`` in ``tests/test_cli_golden.py``) are timed
 the same way, in process through ``covmap.cli.main`` with ``--out`` to a
 scratch file and no COVMAP_CONFIG.
@@ -55,6 +56,7 @@ from covmap.multicopy import (  # noqa: E402
     covariance_residual_multi,
     extract_multi,
     realize_multi_superoperator,
+    schur_weyl_fit,
 )
 from covmap.norms import cb_norm  # noqa: E402
 from covmap.operators import haar_unitary  # noqa: E402
@@ -153,6 +155,8 @@ def cases(rng: np.random.Generator):
         if d >= m + 1:
             yield "extract_multi", m, d, lambda sup=sup, m=m, d=d: extract_multi(sup, m, d)
         yield "apply_multi", m, d, lambda mc=mc, x=x: apply_multi(mc, x)
+        # on the image apply_multi returns, so the generator draws nothing more
+        yield "schur_weyl_fit", m, d, lambda t=apply_multi(mc, x), m=m, d=d: schur_weyl_fit(t, m, d)
         yield "covariance_residual_multi", m, d, lambda sup=sup, m=m, d=d: covariance_residual_multi(
             sup, m, d, samples=COVRES_SAMPLES
         )
