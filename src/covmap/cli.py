@@ -67,8 +67,8 @@ _OPTIONS = {
     "tol_abs": _Option(float, 1e-9, (int, float)),
     "tol_rel": _Option(float, 1e-9, (int, float)),
     "samples": _Option(int, 1000, (int,),
-                       help="twirl sample count; norm validates it but draws nothing"),
-    "seed": _Option(int, 0, (int,), help="twirl seed; norm ignores it"),
+                       help="twirl sample count; other commands validate it but draw nothing"),
+    "seed": _Option(int, 0, (int,), help="twirl seed; other commands ignore it"),
     "d": _Option(int, None, (int,)),
     "out": _Option(str, None),
     "format": _Option(str, "json", (str,), choices=_FORMATS),
@@ -219,7 +219,7 @@ def _multicopy(args: argparse.Namespace) -> dict:
         return {"coefficients": serialize.multicopy_to_obj(mc), "residual": float(residual)}
     fit = schur_weyl_fit(matrix, args.m, args.d)
     return {
-        "coefficients": [[float(z.real), float(z.imag)] for z in fit.coefficients],
+        "coefficients": serialize._pair_list(fit.coefficients),
         "residual": float(fit.residual),
         "degenerate": fit.degenerate,
     }

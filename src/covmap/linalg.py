@@ -143,10 +143,6 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return h @ a if p >= q else a @ h
 
 
-def _gram_top_eigenvalues(a: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(_gram(a))[..., -1]
-
-
 def _top_singular_values(a: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a stack of shape (..., p, q).
 
@@ -161,7 +157,7 @@ def _top_singular_values(a: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled
         try:
-            top = _gram_top_eigenvalues(a)
+            top = np.linalg.eigvalsh(_gram(a))[..., -1]
         except np.linalg.LinAlgError:
             top = None
     if top is not None and np.all((top >= 2.0 ** (-2 * _GRAM_EXPONENT)) & (top < np.inf)):
@@ -172,7 +168,8 @@ def _top_singular_values(a: np.ndarray) -> np.ndarray:
     exponent = np.frexp(peak)[1]  # 0 for a zero, infinite or nan peak
     shift = np.where(np.abs(exponent) > _GRAM_EXPONENT, -exponent, 0)
     if top is None or shift.any():
-        top = _gram_top_eigenvalues(np.ldexp(parts, shift[..., None, None]).view(a.dtype))
+        scaled = np.ldexp(parts, shift[..., None, None]).view(a.dtype)
+        top = np.linalg.eigvalsh(_gram(scaled))[..., -1]
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), -shift)
 
 
@@ -187,29 +184,36 @@ _CERTIFY = 1 - 2.0**-20
 def _largest_singular_value(a: np.ndarray, floor: float = 0.0) -> float:
     """max(floor, _top_singular_values(a).max()) for a stack (N, p, q), as the same float.
 
-    Only the matrices that can raise the maximum get a full Gram spectrum.
+    One range gate, from the Gram traces, comes before any spectrum.  The
+    pruned route runs only when every trace is finite and below
+    2**(2 E - 1), E = _GRAM_EXPONENT, and max(floor**2, best estimate) is at
+    least p q 2**(1 - 2 E); any other stack, the zero stack among them,
+    takes _top_singular_values.  Inside the gate the result is exact: a
+    trace is at least the top Gram eigenvalue, and the squared result t is
+    at least max(floor**2, best estimate), so no matrix that can reach t has
+    its largest entry part outside 2**(+-E), and _top_singular_values keeps
+    the plain Gram bits of each such matrix.
+
+    The pruned route solves only the matrices that can raise the maximum.
     The Gram stack is sorted by the estimate of _weighted_means; the leading
     matrix gets eigvalsh unless the floor already beats its estimate, and
     the rest are certified against the running maximum t by stacked
     Cholesky tests of (1 - 2**-20) t I - G, in chunks of 1, 2, 4, ... in
     that order.  Bisection finds the failing matrices of a failing chunk,
-    and each gets eigvalsh, which is what the full spectrum gives it.  A
-    stack with a non-finite Gram or estimate, or with t outside
-    [p q 2**(1 - 2 E), 2**(2 E - 1)), E = _GRAM_EXPONENT, takes
-    _top_singular_values: there its range guard may rescale the matrix that
-    holds the maximum.  The zero stack is one such case.
+    and each gets eigvalsh, which is what the full spectrum gives it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = _gram(a)
-        estimate = _weighted_means(gram)
-    finite = np.isfinite(estimate).all()
+        trace = np.trace(gram, axis1=-2, axis2=-1).real
+        estimate = _weighted_means(gram, trace)
+    level, low = floor * floor, a.shape[-2] * a.shape[-1] * 2.0 ** (1 - 2 * _GRAM_EXPONENT)
+    if not (np.all(trace < 2.0 ** (2 * _GRAM_EXPONENT - 1)) and max(level, estimate.max()) >= low):
+        return max(floor, float(_top_singular_values(a).max()))  # NaN traces fail here too
     order = np.argsort(-estimate)
-    level, tops, start = floor * floor, [], 0
-    if finite and not estimate[order[0]] < level:
+    tops, start = [], 0
+    if not estimate[order[0]] < level:
         tops.append(np.linalg.eigvalsh(gram[order[0]])[-1])
         level, start = max(level, tops[0]), 1
-    if not (finite and _in_plain_range(level, a)):
-        return max(floor, float(_top_singular_values(a).max()))
     shifted = gram[order]
     np.negative(shifted, out=shifted)
     diagonal = shifted.reshape(len(order), -1)[:, :: gram.shape[-1] + 1]  # a view
@@ -219,30 +223,17 @@ def _largest_singular_value(a: np.ndarray, floor: float = 0.0) -> float:
         diagonal[start:stop] += _CERTIFY * level
         tops += [np.linalg.eigvalsh(gram[order[k]])[-1] for k in _uncertified(shifted, start, stop)]
         level, start, size = max([level, *tops]), stop, 2 * size
-    if not _in_plain_range(level, a):
-        return max(floor, float(_top_singular_values(a).max()))
     return max(floor, float(np.sqrt(max(tops)))) if tops else floor
 
 
-def _in_plain_range(level: float, a: np.ndarray) -> bool:
-    """Whether _top_singular_values keeps the plain Gram bits of any matrix of a that reaches level.
+def _weighted_means(gram: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """tr(G^2) / trace of each Gram matrix G: its eigenvalues averaged with themselves as weights.
 
-    A matrix whose largest entry part lies outside 2**(+-_GRAM_EXPONENT)
-    has a top Gram eigenvalue below p q 2**(1 - 2 E) or at least 2**(2 E).
-    """
-    low = a.shape[-2] * a.shape[-1] * 2.0 ** (1 - 2 * _GRAM_EXPONENT)
-    return low <= level < 2.0 ** (2 * _GRAM_EXPONENT - 1)
-
-
-def _weighted_means(gram: np.ndarray) -> np.ndarray:
-    """tr(G^2) / tr(G) of each Gram matrix: its eigenvalues averaged with themselves as weights.
-
-    A lower bound on the top eigenvalue that ranks a stack about as well as
-    a few power steps; a zero Gram gets 0.
+    ``trace`` holds the real tr(G).  A lower bound on the top eigenvalue
+    that ranks a stack about as well as a few power steps; a zero Gram gets 0.
     """
     parts = gram.view(gram.real.dtype)
     squares = np.einsum("...ij,...ij->...", parts, parts)
-    trace = np.trace(gram, axis1=-2, axis2=-1).real
     return np.divide(squares, trace, out=np.zeros_like(trace), where=trace > 0)
 
 

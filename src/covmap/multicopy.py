@@ -108,10 +108,7 @@ def apply_multi(mc: MultiCopyCoefficients, x) -> np.ndarray:
     for j, spans in enumerate(reach):  # each weight only where its generator reaches
         for span, source in spans:
             inner[:, span] += mc.lam[:, j, None] * values[source]
-    out = np.zeros(d ** (2 * m), dtype=np.complex128)
-    for positions, terms in zip(target, inner):
-        out[positions] += terms
-    return out.reshape(d**m, d**m)
+    return _support_sums(target, d ** (2 * m), inner).reshape(d**m, d**m)
 
 
 def realize_multi_superoperator(mc: MultiCopyCoefficients) -> np.ndarray:

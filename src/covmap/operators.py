@@ -422,8 +422,11 @@ def _keys(seed: int, indices, stream: int) -> np.ndarray:
 def substream(seed: int, index: int = 0, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream, index).
 
-    Distinct triples give statistically independent streams, so sampling
-    loops can address sample k directly without drawing k-1 predecessors.
+    The Philox key is (seed mod 2**64, (stream mod 2**24) * 2**40 + index),
+    with 0 <= index < 2**40.  Triples with distinct keys give statistically
+    independent streams; seeds equal mod 2**64, or streams equal mod 2**24,
+    give the same one.  Sampling loops address sample k directly without
+    drawing k-1 predecessors.
     """
     return np.random.Generator(np.random.Philox(key=_keys(seed, [index], stream)[0]))
 

@@ -136,8 +136,10 @@ class TwirlResult:
     """Averaged superoperator plus the extracted canonical weights.
 
     residual is the operator-norm gap between the average and its realized
-    weights; deviation_before/after, the covariance defects of the input and
-    of the average, use the first deviation_samples unitaries of the average.
+    weights; deviation_before/after are the covariance defects of the input
+    and of the average over the unitaries k < deviation_samples of the same
+    seed, which are the average's first ones when deviation_samples <=
+    samples (the rest lie past the average's sample path).
     """
 
     coefficients: CovariantCoefficients

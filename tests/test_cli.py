@@ -138,6 +138,17 @@ def test_twirl_command_deterministic(tmp_path, capsys):
     assert out["residual"] < 1e-10
 
 
+def test_twirl_near_the_float_limit_exits_0(tmp_path, capsys):
+    # Entries near 1e300 overflow every Gram matrix of the covariance defect.
+    rng = np.random.default_rng(17)
+    sup = rng.standard_normal((81, 9)) + 1j * rng.standard_normal((81, 9))
+    f = write(tmp_path / "sup.json", matrix_to_obj(sup / np.abs(sup).max() * 1e300))
+    assert main(["twirl", f, "--samples", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for key in ("deviation_before", "deviation_after"):
+        assert 0 < out[key] < np.inf
+
+
 def test_twirl_rejects_coefficients_input(tmp_path):
     f = write(tmp_path / "c.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
     assert main(["twirl", f]) == 2

@@ -327,10 +327,11 @@ def test_largest_singular_value_of_zero_is_zero_without_warnings():
         assert _largest_singular_value(np.zeros((3, 4, 4), dtype=complex), 0.25) == 0.25
 
 
-@pytest.mark.parametrize("exponent", [-500, 500])
+@pytest.mark.parametrize("exponent", [-1000, -520, -500, 500, 520, 1000])
 def test_largest_singular_value_out_of_range_takes_the_guard(monkeypatch, exponent):
-    # 2**-500 underflows the Gram below the safe range, 2**500 overflows it;
-    # both go through the rescaling of _top_singular_values.
+    # 2**-500 underflows the Gram below the safe range, 2**500 leaves it
+    # above, and past 2**511 the Gram itself overflows; all go through the
+    # rescaling of _top_singular_values.
     rng = np.random.default_rng(14)
     plain = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
     a = plain * 2.0**exponent  # exact
@@ -344,6 +345,23 @@ def test_largest_singular_value_out_of_range_takes_the_guard(monkeypatch, expone
     guarded.clear()
     assert _largest_singular_value(plain) == _full_spectrum_max(plain)
     assert not guarded
+
+
+@pytest.mark.parametrize("exponent", [-1000, -520, 520, 1000])
+def test_largest_singular_value_beside_one_out_of_range_matrix(exponent):
+    # One matrix scaled far out of range among in-range ones, in every
+    # place, with floors below, at and above the maximum.
+    rng = np.random.default_rng(16)
+    plain = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    for k in range(len(plain)):
+        stack = plain.copy()
+        stack[k] *= 2.0**exponent  # exact
+        top = _full_spectrum_max(stack)
+        for floor in (0.0, 0.5 * top, top, 2 * top):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _largest_singular_value(stack, floor)
+            assert got == _full_spectrum_max(stack, floor)
 
 
 def test_hs_inner_identity_and_swap():

@@ -648,16 +648,20 @@ def test_covariance_defect_memory_is_near_input_size_and_flat_in_samples():
     assert _defect_peak(sup, 2, 3, 500) < 1.1 * _defect_peak(sup, 2, 3, 50)
 
 
-@pytest.mark.parametrize("exponent", [-500, 500])
+# Past 2**511 the Gram matrices of the unit defects overflow.
+@pytest.mark.parametrize("exponent", [-500, 500, 520, 1000])
 def test_covariance_defect_out_of_the_gram_range(exponent):
-    rng = np.random.default_rng(42)
-    sup = _defect_input("noisy", 2, 3, rng) * 2.0**exponent  # exact
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = covariance_residual_multi(sup, 2, 3, samples=2, seed=1)
-    assert got == _stacked_defect(sup, 2, 3, 2, 1, _top_singular_values)
-    plain = covariance_residual_multi(sup * 2.0**-exponent, 2, 3, samples=2, seed=1)
-    assert got == pytest.approx(plain * 2.0**exponent, rel=1e-12)
+    for m, d in [(2, 3), (3, 3)]:
+        rng = np.random.default_rng(42)
+        sup = _defect_input("noisy", m, d, rng) * 2.0**exponent  # exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = covariance_residual_multi(sup, m, d, samples=2, seed=1)
+        assert got == _stacked_defect(sup, m, d, 2, 1, _top_singular_values)
+        plain = covariance_residual_multi(sup * 2.0**-exponent, m, d, samples=2, seed=1)
+        assert got == pytest.approx(plain * 2.0**exponent, rel=1e-12)
+        if m == 2:
+            assert covariance_deviation(sup, d, 2, 1) == got
 
 
 @pytest.mark.parametrize("m,d", KERNEL_SHAPES)

@@ -22,7 +22,8 @@ file, ``matrix_to_obj`` on an array) at the sizes the command line meets,
 and one ``main`` call on a weight file, where argument parsing is a large
 share of the job.
 Last, the Tier-1 test command (TIER1) runs once in a subprocess from the
-checkout root, and its wall time and summary line are recorded.  The
+checkout root, and its wall time and summary line are recorded, as is
+the line count of ``src/covmap``, in total and per module.  The
 file opens with an environment stamp (numpy, BLAS, thread variables, CPU
 count).  The gated end-to-end benchmark is ``perfbench/``; this script is
 not part of it and changes nothing there.
@@ -212,6 +213,15 @@ def tier1() -> dict:
     }
 
 
+def source_lines() -> dict:
+    """Line count of each module of src/covmap, as wc -l counts it, and their total."""
+    modules = {
+        path.name: path.read_bytes().count(b"\n")
+        for path in sorted(Path(ROOT, "src", "covmap").glob("*.py"))
+    }
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
@@ -233,6 +243,8 @@ def main(argv=None) -> int:
             print(f"io {name:24s} {size:8s} {io[-1]['best_ms']:10.3f} ms", file=sys.stderr)
     tests = tier1()
     print(f"tier1 {tests['summary']} (wall {tests['wall_s']} s)", file=sys.stderr)
+    lines = source_lines()
+    print(f"src/covmap {lines['total']} lines", file=sys.stderr)
     record = {
         "environment": stamp(),
         "repeat": REPEAT,
@@ -245,6 +257,7 @@ def main(argv=None) -> int:
         "cli": cli,
         "io": io,
         "tier1": tests,
+        "source_lines": lines,
     }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)
