@@ -153,7 +153,8 @@ def _top_singular_values(a: np.ndarray) -> np.ndarray:
     redone if some matrix has its largest entry part outside
     2**(+-_GRAM_EXPONENT), with that matrix scaled by an exact power of two,
     so the SVD's floating-point range is kept; a matrix inside that range
-    gets the same bits on either path.
+    gets the same bits on either path.  An inf or NaN entry, which is what
+    an overflow upstream leaves, raises LinAlgError (a ValueError).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled
         try:
@@ -165,7 +166,9 @@ def _top_singular_values(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     parts = a.view(a.real.dtype)  # real and imaginary parts side by side
     peak = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
-    exponent = np.frexp(peak)[1]  # 0 for a zero, infinite or nan peak
+    if not np.isfinite(peak).all():
+        raise np.linalg.LinAlgError("matrix entries are inf or NaN: the values overflow the double range")
+    exponent = np.frexp(peak)[1]  # 0 for a zero peak
     shift = np.where(np.abs(exponent) > _GRAM_EXPONENT, -exponent, 0)
     if top is None or shift.any():
         scaled = np.ldexp(parts, shift[..., None, None]).view(a.dtype)

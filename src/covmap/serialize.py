@@ -3,7 +3,11 @@
 Complex scalars travel as [real, imag] pairs, matrices as row-major pair
 lists under {"rows", "cols", "data"}.  Serialization is deterministic
 (sorted keys, fixed separators) and round-trips every double-precision
-value bit-exactly.
+value bit-exactly.  :func:`dumps` writes the bytes of ``json.dumps`` with
+sorted keys and indent 2, each list of floats or of [float, float] pairs
+in one join.  :func:`covmap.cli.main` pauses the cyclic garbage collector
+while these cycle-free trees are decoded and rendered, and restores the
+caller's setting after the call.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import cmath
 import contextlib
 import itertools
-import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -46,8 +51,58 @@ class SchemaError(ValueError):
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic rendering: sorted keys, two-space indent, newline end.
+
+    The bytes of ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) + "\n"``, which raises as this does: ValueError for a
+    NaN or infinite float, TypeError for a value of another type.  Dict
+    keys must be strings, as in every covmap object; any other key raises
+    TypeError.
+    """
+    return _render(obj, "\n") + "\n"
+
+
+def _render(obj, newline: str) -> str:
+    """obj as dumps renders it, its inner lines indented as after ``newline``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _float_join(obj, inner) or ("," + inner).join([_render(v, inner) for v in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_join(items, inner: str) -> str | None:
+    """The body of a list of finite floats, or of [float, float] pairs, as one join of float reprs.
+
+    None for any other list, which _render takes element by element.
+    """
+    pairs = set(map(type, items)) == {list} and set(map(len, items)) == {2}
+    flat = list(itertools.chain.from_iterable(items)) if pairs else items
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    reprs = map(float.__repr__, flat)
+    if not pairs:
+        return ("," + inner).join(reprs)
+    pair = inner + "  "
+    body = (inner + "]," + inner + "[" + pair).join(map(("," + pair).join, zip(reprs, reprs)))
+    return "[" + pair + body + inner + "]"
 
 
 def _real_type(t: type) -> bool:

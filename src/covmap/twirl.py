@@ -93,17 +93,25 @@ def _haar_axes(x: np.ndarray, d: int, samples: int, seed: int, axes):
             yield axes(us[i : i + step])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def _haar_average(x: np.ndarray, d: int, samples: int, seed: int, axes):
-    """Mean of _conjugate(x, axes(U_k)) over k < samples, never holding a finished conjugate."""
+    """Mean of _conjugate(x, axes(U_k)) over k < samples, never holding a finished conjugate.
+
+    A mean that overflows the double range raises ValueError.
+    """
     acc = np.zeros(x.shape, dtype=np.complex128)
     for mats in _haar_axes(x, d, samples, seed, axes):
         # Holding one stack until the next is formed keeps the allocator from
         # trimming the heap between stacks and faulting its pages back in
         # (glibc, small heap, d = 5: 93 minor faults per sample unheld, 4 held).
         _ = _conjugate(x, mats, acc)
-    return acc / samples
+    acc /= samples
+    if not np.isfinite(acc).all():
+        raise ValueError("the Haar average overflows the double range: the input entries are too large")
+    return acc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _top_singular_values refuses an overflow
 def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: int) -> float:
     """Largest covariance defect over sampled unitaries and all matrix units.
 

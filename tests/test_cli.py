@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +149,53 @@ def test_twirl_near_the_float_limit_exits_0(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     for key in ("deviation_before", "deviation_after"):
         assert 0 < out[key] < np.inf
+
+
+@pytest.mark.parametrize("scale, code", [(1e307, 0), (1.7e308, 2)])
+def test_twirl_of_one_entry_near_the_float_limit(tmp_path, capsys, scale, code):
+    # At 1.7e308 the Haar average overflows the double range, which is refused
+    # by name, with no numpy warning; at 1e307 it stays finite.
+    rng = np.random.default_rng(17)
+    sup = rng.standard_normal((81, 9)) + 1j * rng.standard_normal((81, 9))
+    sup /= np.abs(sup).max()
+    sup[0, 0] = scale
+    f = write(tmp_path / "sup.json", matrix_to_obj(sup))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["twirl", f, "--samples", "10"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("covmap: ") and "overflows the double range" in err
+    else:
+        assert err == ""
+
+
+def _exit_argv(tmp_path, code):
+    """A command line that exits with code, its input files written to tmp_path."""
+    if code == 0:
+        return ["norm", write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))]
+    if code == 2:
+        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        return ["classify", str(tmp_path / "bad.json")]
+    if code == 3:
+        return ["twirl", write(tmp_path / "m.json", matrix_to_obj(np.zeros((81, 8))))]
+    if code == 4:
+        return ["norm", write(tmp_path / "c.json", coefficients_to_obj(CovariantCoefficients(3, (1, 1, 0, 0, 0.5, 0))))]
+    return ["multicopy", "extract", write(tmp_path / "sup.json", matrix_to_obj(np.zeros((27, 9)))),
+            "--m", "3", "--d", "3"]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("code, argv", [(0, None), (2, None), (3, None), (4, None), (5, None),
+                                        (0, ["--help"]), (2, ["classify", "--frobnicate"])])
+def test_main_leaves_the_cyclic_collector_as_the_caller_set_it(tmp_path, capsys, collecting, code, argv):
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(argv or _exit_argv(tmp_path, code)) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_twirl_rejects_coefficients_input(tmp_path):

@@ -234,6 +234,15 @@ def test_top_singular_values_of_zero_are_exactly_zero():
     assert np.array_equal(got, [0.0, 0.0]) and not np.signbit(got).any()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf * 1j, np.nan])
+def test_non_finite_entries_are_refused_as_an_overflow(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    for stack in (a, np.stack([np.eye(3), a])):
+        with pytest.raises(np.linalg.LinAlgError, match="overflow the double range"):
+            _top_singular_values(stack)
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
 def test_operator_norm_keeps_the_svd_range(scale):
     # An unscaled Gram matrix would underflow to 0 at 1e-200 and overflow at

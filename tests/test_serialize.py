@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covmap.classify import classify
 from covmap.linalg import DimensionError
@@ -237,3 +239,86 @@ def test_the_whole_array_writer_matches_the_entry_by_entry_writer():
         a[2, 3] = bad
         with pytest.raises(SchemaError, match="non-finite"):
             matrix_to_obj(a)
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _outcome(render, obj):
+    """The text render gives obj, or the class of the exception it raises."""
+    try:
+        return render(obj)
+    except (ValueError, TypeError) as exc:  # messages differ across Python versions
+        return type(exc)
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e-7, 1.7976931348623157e308]),
+)
+_NUMBERS = st.one_of(
+    _FINITE,
+    _FINITE.map(np.float64),
+    st.integers(),
+    st.integers(2**63, 2**200),
+    st.integers(-(2**200), -(2**63)),
+)
+_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "a\"b\nc"]))
+
+
+def _trees(numbers):
+    """JSON-like trees whose leaves include float lists and pair lists, pure or mixed."""
+    pair = st.lists(numbers, min_size=2, max_size=2)
+    leaves = st.one_of(
+        st.none(), st.booleans(), numbers, _TEXT,
+        st.lists(_FINITE, max_size=6),  # the one-join path
+        st.lists(st.lists(_FINITE, min_size=2, max_size=2), max_size=6),  # the one-join path
+        st.lists(st.one_of(pair, st.lists(st.one_of(numbers, st.booleans()), min_size=2, max_size=2)), max_size=6),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_TEXT, children, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(_NUMBERS))
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    assert dumps(obj) == _oracle(obj)
+
+
+_ANY_NUMBERS = st.one_of(
+    _NUMBERS,
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
+    st.sampled_from([np.int64(3), np.bool_(True), 1j, b"x", {1}]),  # unsupported types
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(_ANY_NUMBERS))
+def test_dumps_raises_as_json_dumps_does(obj):
+    assert _outcome(dumps, obj) == _outcome(_oracle, obj)
+
+
+@pytest.mark.parametrize("obj, error", [
+    (math.nan, ValueError), ([1.0, math.inf], ValueError), ([[1.0, -math.inf]], ValueError),
+    ({"a": [[0.0, math.nan]]}, ValueError), ({"a": np.int64(1)}, TypeError),
+    ([[1.0, 2.0], object()], TypeError), ({(1,): 2}, TypeError), (np.zeros(2), TypeError),
+])
+def test_dumps_refuses_what_json_dumps_refuses(obj, error):
+    with pytest.raises(error):
+        dumps(obj)
+    with pytest.raises(error):
+        _oracle(obj)
+
+
+def test_dumps_refuses_a_key_that_is_not_a_string():
+    for obj in ({1: 2}, {None: [[1.0, 2.0]]}, {"a": {2.5: 0}}):
+        with pytest.raises(TypeError):
+            dumps(obj)

@@ -1,11 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from covmap.linalg import DimensionError, vec
 from covmap.operators import haar_unitary, matrix_unit
-from covmap.twirl import TwirlResult, conjugated_superoperator, covariance_deviation, twirl
+from covmap.twirl import TwirlResult, conjugated_superoperator, covariance_deviation, twirl, twirl_operator
 from covmap.twocopy import (
     CovariantCoefficients,
     gauge_reduce,
@@ -122,6 +123,20 @@ def test_covariance_deviation_cases():
     assert covariance_deviation(sup, 3, samples=5, seed=0) < 1e-10
     assert covariance_deviation(classical_copy_superoperator(2), 2, samples=5, seed=0) > 0.1
     assert covariance_deviation(np.zeros((16, 4), dtype=complex), 2, samples=3, seed=0) == 0.0
+
+
+def test_an_overflow_past_the_double_range_is_refused_without_warnings():
+    rng = np.random.default_rng(3)
+    sup = rng.standard_normal((81, 9)) + 1j * rng.standard_normal((81, 9))
+    sup *= 1.7e308 / np.abs(sup).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="overflow the double range"):
+            covariance_deviation(sup, 3, samples=4, seed=0)
+        with pytest.raises(ValueError, match="overflows the double range"):
+            twirl(sup, 3, samples=4, seed=0)
+        with pytest.raises(ValueError, match="overflows the double range"):
+            twirl_operator(np.full((9, 9), 1.7e308), 2, 3, samples=4, seed=0)
 
 
 def test_twirl_validates_shapes():

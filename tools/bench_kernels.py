@@ -17,10 +17,11 @@ every two-copy d and at every m-copy shape with m >= 3.  The six command lines o
 12 (``criterion_12_invocations`` in ``tests/test_cli_golden.py``) are timed
 the same way, in process through ``covmap.cli.main`` with ``--out`` to a
 scratch file and no COVMAP_CONFIG.
-So are the JSON matrix reader and writer (``matrix_from_obj`` on a parsed
-file, ``matrix_to_obj`` on an array) at the sizes the command line meets,
-and one ``main`` call on a weight file, where argument parsing is a large
-share of the job.
+So are the four steps of a JSON matrix read and write at the sizes the
+command line meets: ``covmap.cli._read_json`` of a written file,
+``matrix_from_obj`` on the parsed object, ``matrix_to_obj`` on an array and
+``dumps`` of its object; and one ``main`` call on a weight file, where
+argument parsing is a large share of the job.
 Last, the Tier-1 test command (TIER1) runs once in a subprocess from the
 checkout root, and its wall time and summary line are recorded, as is
 the line count of ``src/covmap``, in total and per module.  The
@@ -49,6 +50,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from covmap.classify import classify  # noqa: E402
+from covmap.cli import _read_json as read_json  # noqa: E402
 from covmap.cli import main as cli_main  # noqa: E402
 from covmap.linalg import operator_norm  # noqa: E402
 from covmap.multicopy import (  # noqa: E402
@@ -186,12 +188,21 @@ def cli_cases(tmp: Path):
 
 
 def io_cases(rng: np.random.Generator, tmp: Path):
-    """(call, size, fn): the JSON matrix reader and writer, then main on a weight file."""
+    """(call, size, fn): the steps of a CLI matrix read and write, then main on a weight file.
+
+    A read is _read_json of the file, then matrix_from_obj of its object; a
+    write is matrix_to_obj of the array, then dumps of its object.
+    """
     for rows, cols in IO_SHAPES:
         a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        obj = json.loads(dumps(matrix_to_obj(a)))  # as json.load hands it to the reader
-        yield "matrix_from_obj", f"{rows}x{cols}", lambda obj=obj: matrix_from_obj(obj)
-        yield "matrix_to_obj", f"{rows}x{cols}", lambda a=a: matrix_to_obj(a)
+        size = f"{rows}x{cols}"
+        path = tmp / f"matrix_{size}.json"
+        path.write_text(dumps(matrix_to_obj(a)), encoding="utf-8")
+        obj = read_json(str(path))
+        yield "matrix_from_obj", size, lambda obj=obj: matrix_from_obj(obj)
+        yield "matrix_to_obj", size, lambda a=a: matrix_to_obj(a)
+        yield "read_json", size, lambda path=str(path): read_json(path)
+        yield "dumps", size, lambda obj=matrix_to_obj(a): dumps(obj)
     weights = tmp / "vb.json"
     weights.write_text(dumps(coefficients_to_obj(virtual_broadcast_coefficients(3))))
     yield "main_norm_weight_file", "d=3", main_call(["norm", str(weights), "--out", str(tmp / "out.json")])
