@@ -22,7 +22,8 @@ from covmap.multicopy import (
     slot_embedding,
     to_two_copy,
 )
-from covmap.twirl import _conjugate, _superoperator_axes, covariance_deviation, twirl_operator
+from covmap.twirl import _adjoint, _adjoint_basis, _conjugate, _read, _superoperator_pairs
+from covmap.twirl import covariance_deviation, twirl_operator
 from covmap.classify import commutant_fit
 from covmap.operators import _BLOCK, Permutation, _gather, _probes, _rows, _scatter, haar_unitary
 from covmap.operators import matrix_unit
@@ -556,7 +557,7 @@ def _kron_defects(sup, u, m, d):
 
 def _kernel_defects(sup, u, m, d):
     """The same defects conjugated back, W^dag F(U E_ab U^dag) W - F(E_ab), by the kernel."""
-    return _images(_conjugate(sup, _superoperator_axes(u, m))[0] - sup, m, d)
+    return _images(_conjugate(sup, _superoperator_pairs(u, m))[0] - sup, m, d)
 
 
 def _stacked_defect(sup, m, d, samples, seed, norms, defects=_kernel_defects):
@@ -733,6 +734,31 @@ def test_twirl_operator_matches_kron_sandwich_reference(m, d, samples):
         ref += um @ t @ um.conj().T
     got = twirl_operator(t, m, d, samples=samples, seed=8)
     assert np.abs(got - ref / samples).max() <= 1e-13 * np.abs(t).max()
+
+
+@pytest.mark.parametrize("m,d", [(1, 3), (2, 3), (3, 3), (3, 4), (2, 6), (4, 3)])
+def test_twirl_operator_of_a_hermitian_operator_is_exactly_hermitian(m, d):
+    # A Hermitian t has adjoint-basis coordinates with an imaginary plane
+    # that is zero, and the real pairs keep it zero.
+    rng = np.random.default_rng(400 + 10 * m + d)
+    a = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
+    avg = twirl_operator(a + a.conj().T, m, d, samples=30, seed=5)
+    assert np.array_equal(avg, avg.conj().T)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_adjoint_pair_is_the_real_orthogonal_conjugation(d):
+    to_c, to_x, _ = _adjoint_basis(d)
+    us = np.stack([haar_unitary(d, 9, k) for k in range(3)])
+    ad = _adjoint(us)
+    assert ad.dtype == np.float64
+    rng = np.random.default_rng(500 + d)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    c = _read(x.reshape(-1), to_c, [0])
+    assert np.abs(_read(c, to_x, [0]).reshape(d, d) - x).max() <= 1e-15 * np.abs(x).max()
+    for u, a in zip(us, ad):
+        assert np.abs(a @ a.T - np.eye(d * d)).max() <= 1e-14
+        assert np.abs(a @ c - _read((u @ x @ u.conj().T).reshape(-1), to_c, [0])).max() <= 1e-14 * np.abs(x).max()
 
 
 def _operator_twirl_peak(t, m, d, samples):

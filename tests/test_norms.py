@@ -35,23 +35,14 @@ def test_psi_identity_norm_examples():
 
 
 def test_psi_identity_norm_matches_direct_operator_norm():
+    # The dense cross-check of the closed form, over random trace-free weights.
     rng = np.random.default_rng(20)
-    for _ in range(40):
-        d = int(rng.choice([2, 3, 4]))
-        vals = rng.uniform(-2, 2, 8)
-        c = CovariantCoefficients(
-            d,
-            (
-                complex(vals[0], vals[1]),
-                complex(vals[2], vals[3]),
-                complex(vals[4], vals[5]),
-                complex(vals[6], vals[7]),
-                0,
-                0,
-            ),
-        )
-        direct = operator_norm(apply_map(c, np.eye(d)))
-        assert psi_identity_norm(c) == pytest.approx(direct, abs=1e-10)
+    for d in (2, 3, 4, 5):
+        for _ in range(10):
+            vals = rng.uniform(-2, 2, 8)
+            c = CovariantCoefficients(d, (*(vals[:4] + 1j * vals[4:]), 0, 0))
+            direct = operator_norm(apply_map(c, np.eye(d)))
+            assert psi_identity_norm(c) == pytest.approx(direct, abs=1e-10)
 
 
 def test_trace_terms_rejected():
@@ -190,7 +181,7 @@ def test_monte_carlo_norm_is_bit_equal_to_per_probe_draws(d, monkeypatch):
     value = monte_carlo_norm(c, samples, 11)
     assert abs(value - _probe_loop_norm(c, samples, 11)) <= _spectral_bound(c)
     drawn = []  # every probe before normalization, bit for bit, whatever the order
-    probes = norms._probes
+    probes = norms._probe_stacks
 
     def recording_probes(d, seed, ks):
         us, hs = probes(d, seed, ks)
@@ -198,7 +189,7 @@ def test_monte_carlo_norm_is_bit_equal_to_per_probe_draws(d, monkeypatch):
         drawn.extend(x.tobytes() for x in (*us, *hs))
         return us, hs
 
-    monkeypatch.setattr(norms, "_probes", recording_probes)
+    monkeypatch.setattr(norms, "_probe_stacks", recording_probes)
     assert monte_carlo_norm(c, samples, 11) == value
     per_probe = [
         haar_unitary(d, 11, k) if k % 2 == 1 else gaussian_hermitian(d, substream(11, k, stream=1))

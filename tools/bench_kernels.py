@@ -9,8 +9,9 @@ reads the kernel's own cost rather than the load of a shared host.  Both
 faces of the twirl's conjugation kernel are timed at the sample counts of
 the twirl_project workload in perfbench/: a 24-sample Haar average of a
 superoperator per d, and ``twirl_operator`` with 200 samples at
-(m, d) = (3, 3) and (3, 4).  ``schur_weyl_fit`` is timed at every
-m-copy shape, on the image that ``apply_multi`` returns there.  The
+(m, d) = (3, 3) and (3, 4), then at (2, 3), (2, 6) and (4, 3), which the
+workload does not run.  ``schur_weyl_fit`` is timed at every m-copy
+shape, on the image that ``apply_multi`` returns there.  The
 operator norm of a residual ``superop - realize``, the d^(2m) x d^2
 matrix whose Gram product the extraction residuals pay for, is timed at
 every two-copy d and at every m-copy shape with m >= 3.  The six command lines of acceptance criterion
@@ -66,7 +67,7 @@ from covmap.operators import haar_unitary  # noqa: E402
 from covmap.serialize import coefficients_to_obj, dumps, matrix_from_obj, matrix_to_obj  # noqa: E402
 from covmap.twirl import (  # noqa: E402
     _haar_average,
-    _superoperator_axes,
+    _superoperator_pairs,
     conjugated_superoperator,
     covariance_deviation,
     twirl_operator,
@@ -83,10 +84,11 @@ from test_cli_golden import criterion_12_invocations  # noqa: E402
 # The (m, d) shapes of the multicopy_tables workload in perfbench/.
 MULTICOPY_MD = ((2, 3), (2, 6), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4))
 COVRES_SAMPLES = 4
-# Sample counts and operator shapes of the twirl_project workload in perfbench/.
+# Sample counts of the twirl_project workload in perfbench/, and its operator
+# shapes (3, 3) and (3, 4) followed by three it does not run.
 TWIRL_SAMPLES = 24
 TWIRL_OPERATOR_SAMPLES = 200
-TWIRL_OPERATOR_MD = ((3, 3), (3, 4))
+TWIRL_OPERATOR_MD = ((3, 3), (3, 4), (2, 3), (2, 6), (4, 3))
 # (rows, cols) of the matrices the CLI reads and writes: a d = 5 superoperator
 # (classify, norm, twirl), an (m, d) = (3, 4) superoperator (multicopy
 # extract) and an operator on 3 copies of d = 4 (the multicopy apply output).
@@ -145,7 +147,7 @@ def cases(rng: np.random.Generator):
         u = haar_unitary(d, SEED, d)  # one twirl sample: the conjugation by one unitary
         yield "conjugated_superoperator", 2, d, lambda s=sup, u=u: conjugated_superoperator(s, u)
         yield "haar_average", 2, d, lambda s=sup, d=d: _haar_average(
-            s, d, TWIRL_SAMPLES, SEED, _superoperator_axes
+            s, d, TWIRL_SAMPLES, SEED, _superoperator_pairs
         )
     for m, d in MULTICOPY_MD:
         lam = rng.standard_normal((math.factorial(m), m + 1)) + 1j * rng.standard_normal((math.factorial(m), m + 1))
