@@ -8,10 +8,15 @@ Conventions fixed once for the whole package:
 * Matrices are vectorised by column stacking, so
   ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)``.
 * Eigenvalues of Hermitian matrices are returned in ascending order.
+* Numeric range: each norm-valued kernel scales its working array once by
+  2**-e (_range_exponent) and its result back (_scaled), so f(2**k F) ==
+  2**k f(F) bit for bit while 2**k F is exact.  An inf or NaN entry, or a
+  result past the double range, raises ValueError "a value overflows the double range".
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -105,12 +110,34 @@ def partial_trace(t, d1: int, d2: int, side: str = "first") -> np.ndarray:
 
 def operator_norm(a) -> float:
     """Largest singular value. Works for rectangular input."""
-    return float(_top_singular_values(as_matrix(a)))
+    a = as_matrix(a)
+    e = _range_exponent(a)
+    return _scaled(float(_top_singular_values(_scaled(a, -e))), e)
 
 
-# A matrix whose largest real or imaginary entry part lies within 2**(+-this)
-# has a Gram matrix that neither overflows nor loses leading digits to
-# underflow, and a top Gram eigenvalue of at least 2**(-2 * this).
+def _range_exponent(a: np.ndarray) -> int:
+    """e with 2**-e a peaking in [1/2, 1) over its entry parts, 0 for zero a; inf or NaN: ValueError."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    peak = max(float(parts.max()), -float(parts.min()))  # NaN when a NaN is present: both ends are NaN
+    if not math.isfinite(peak):
+        raise ValueError("a value overflows the double range")
+    return math.frexp(peak)[1]
+
+
+def _scaled(a, e: int):
+    """2**e a for a float or a new array, exact while entries stay normal; past the range, ValueError."""
+    scalar = isinstance(a, float)
+    if e > 0 and (math.frexp(a)[1] if scalar else _range_exponent(a)) + e > 1024:  # 2**1024 is past the range
+        raise ValueError("a value overflows the double range")
+    if scalar:
+        return math.ldexp(a, e)
+    parts = np.ascontiguousarray(a).view(np.float64)
+    # A power of two inside the double range scales by one multiply, exact and faster than ldexp.
+    return (parts * 2.0**e if -1074 <= e <= 1023 else np.ldexp(parts, e)).view(a.dtype)
+
+
+# A matrix whose largest real or imaginary entry part is at least 2**-this has a Gram
+# matrix that loses no leading digits to underflow, and a top eigenvalue of at least 2**(-2 * this).
 _GRAM_EXPONENT = 400
 
 
@@ -146,31 +173,18 @@ def _gram(a: np.ndarray) -> np.ndarray:
 def _top_singular_values(a: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a stack of shape (..., p, q).
 
-    The square root of the top eigenvalue of the Gram matrix on the smaller
-    side, a^dag a or a a^dag, which is all an operator norm needs of an SVD.
-    Only when a top eigenvalue comes out non-finite or below
-    2**(-2 * _GRAM_EXPONENT) are the entries checked, and the stack is
-    redone if some matrix has its largest entry part outside
-    2**(+-_GRAM_EXPONENT), with that matrix scaled by an exact power of two,
-    so the SVD's floating-point range is kept; a matrix inside that range
-    gets the same bits on either path.  An inf or NaN entry, which is what
-    an overflow upstream leaves, raises LinAlgError (a ValueError).
+    The square root of the top Gram eigenvalue on the smaller side, on entries the
+    callers scaled into range.  A matrix whose top eigenvalue comes out below
+    2**(-2 * _GRAM_EXPONENT) and whose largest entry part is below 2**-_GRAM_EXPONENT
+    is redone scaled by an exact power of two; every other keeps its bits.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled
-        try:
-            top = np.linalg.eigvalsh(_gram(a))[..., -1]
-        except np.linalg.LinAlgError:
-            top = None
-    if top is not None and np.all((top >= 2.0 ** (-2 * _GRAM_EXPONENT)) & (top < np.inf)):
+    top = np.linalg.eigvalsh(_gram(a))[..., -1]
+    if np.all(top >= 2.0 ** (-2 * _GRAM_EXPONENT)):
         return np.sqrt(top)
-    a = np.ascontiguousarray(a)
-    parts = a.view(a.real.dtype)  # real and imaginary parts side by side
+    parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts side by side
     peak = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
-    if not np.isfinite(peak).all():
-        raise np.linalg.LinAlgError("matrix entries are inf or NaN: the values overflow the double range")
-    exponent = np.frexp(peak)[1]  # 0 for a zero peak
-    shift = np.where(np.abs(exponent) > _GRAM_EXPONENT, -exponent, 0)
-    if top is None or shift.any():
+    shift = np.where(peak < 2.0**-_GRAM_EXPONENT, -np.frexp(peak)[1], 0)  # 0 for a zero peak
+    if shift.any():
         scaled = np.ldexp(parts, shift[..., None, None]).view(a.dtype)
         top = np.linalg.eigvalsh(_gram(scaled))[..., -1]
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), -shift)
@@ -187,31 +201,23 @@ _CERTIFY = 1 - 2.0**-20
 def _largest_singular_value(a: np.ndarray, floor: float = 0.0) -> float:
     """max(floor, _top_singular_values(a).max()) for a stack (N, p, q), as the same float.
 
-    One range gate, from the Gram traces, comes before any spectrum.  The
-    pruned route runs only when every trace is finite and below
-    2**(2 E - 1), E = _GRAM_EXPONENT, and max(floor**2, best estimate) is at
-    least p q 2**(1 - 2 E); any other stack, the zero stack among them,
-    takes _top_singular_values.  Inside the gate the result is exact: a
-    trace is at least the top Gram eigenvalue, and the squared result t is
-    at least max(floor**2, best estimate), so no matrix that can reach t has
-    its largest entry part outside 2**(+-E), and _top_singular_values keeps
-    the plain Gram bits of each such matrix.
+    On entries the callers scaled into range, the pruned route runs only
+    when max(floor**2, best estimate) is at least p q 2**(1 - 2 E),
+    E = _GRAM_EXPONENT, so no matrix that can reach the squared result has
+    an entry part below 2**-E; any other stack takes _top_singular_values.
 
-    The pruned route solves only the matrices that can raise the maximum.
-    The Gram stack is sorted by the estimate of _weighted_means; the leading
-    matrix gets eigvalsh unless the floor already beats its estimate, and
-    the rest are certified against the running maximum t by stacked
-    Cholesky tests of (1 - 2**-20) t I - G, in chunks of 1, 2, 4, ... in
-    that order.  Bisection finds the failing matrices of a failing chunk,
-    and each gets eigvalsh, which is what the full spectrum gives it.
+    The pruned route solves only the matrices that can raise the maximum:
+    the Gram stack is sorted by the estimate of _weighted_means, the leading
+    matrix gets eigvalsh unless the floor beats its estimate, and the rest are
+    certified below the running maximum t by stacked Cholesky tests of
+    (1 - 2**-20) t I - G in chunks of 1, 2, 4, ...; bisection finds each
+    matrix of a failing chunk, which gets eigvalsh.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = _gram(a)
-        trace = np.trace(gram, axis1=-2, axis2=-1).real
-        estimate = _weighted_means(gram, trace)
+    gram = _gram(a)
+    estimate = _weighted_means(gram, np.trace(gram, axis1=-2, axis2=-1).real)
     level, low = floor * floor, a.shape[-2] * a.shape[-1] * 2.0 ** (1 - 2 * _GRAM_EXPONENT)
-    if not (np.all(trace < 2.0 ** (2 * _GRAM_EXPONENT - 1)) and max(level, estimate.max()) >= low):
-        return max(floor, float(_top_singular_values(a).max()))  # NaN traces fail here too
+    if max(level, estimate.max()) < low:
+        return max(floor, float(_top_singular_values(a).max()))
     order = np.argsort(-estimate)
     tops, start = [], 0
     if not estimate[order[0]] < level:
@@ -261,7 +267,8 @@ def _uncertified(shifted: np.ndarray, start: int, stop: int, failed: bool = Fals
 
 def frobenius_norm(a) -> float:
     a = as_matrix(a)
-    return float(np.linalg.norm(a))
+    e = _range_exponent(a)
+    return _scaled(float(np.linalg.norm(_scaled(a, -e))), e)
 
 
 def hermitian_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

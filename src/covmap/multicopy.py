@@ -27,8 +27,8 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, frobenius_norm, vec
-from .operators import _gather, _permutation_ones, _read_weights, _realize, _residual, _shaped
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _range_exponent, _scaled
+from .operators import _apply, _permutation_ones, _read_weights, _realize, _residual, _shaped
 from .operators import _span_fit, _support_sums
 from .operators import enumerate_permutations
 from .twirl import _covariance_defect
@@ -100,15 +100,7 @@ def slot_embedding(j: int, x, m: int, d: int) -> np.ndarray:
 
 def apply_multi(mc: MultiCopyCoefficients, x) -> np.ndarray:
     """Image of x, d^m x d^m, gathered with the bits of a sum of permuted slot embeddings."""
-    m, d = mc.m, mc.d
-    x = _shaped(x, d, m, "input")
-    reach, target = _gather(m, d)
-    values = np.append(vec(x), np.trace(x))
-    inner = np.zeros(target.shape, dtype=np.complex128)
-    for j, spans in enumerate(reach):  # each weight only where its generator reaches
-        for span, source in spans:
-            inner[:, span] += mc.lam[:, j, None] * values[source]
-    return _support_sums(target, d ** (2 * m), inner).reshape(d**m, d**m)
+    return _apply(mc.lam, x, mc.m, mc.d)
 
 
 def realize_multi_superoperator(mc: MultiCopyCoefficients) -> np.ndarray:
@@ -175,10 +167,12 @@ def schur_weyl_fit(t, m: int, d: int) -> SchurWeylFit:
 def _schur_weyl(t: np.ndarray, m: int, d: int) -> SchurWeylFit:
     """The solve behind :func:`schur_weyl_fit`, without the desk-scale cap."""
     span, support, inverse = _permutation_ones(m, d)
-    coeffs, degenerate = _span_fit(t.reshape(-1), span)
-    difference = t.copy()  # minus the span element, taken on its support
+    e = _range_exponent(t)  # solved in range, then scaled back
+    coeffs, degenerate = _span_fit(t.reshape(-1), span, e)
+    difference = _scaled(t, -e)  # minus the span element, taken on its support
     difference.reshape(-1)[support] -= _support_sums(inverse, support.size, coeffs)
-    return SchurWeylFit(coeffs, frobenius_norm(difference), degenerate)
+    residual = np.linalg.norm(difference)  # summed in t's range: one 2**500 below t's peak loses digits
+    return SchurWeylFit(_scaled(coeffs, e), _scaled(float(residual), e), degenerate)
 
 
 def from_two_copy(c: CovariantCoefficients) -> MultiCopyCoefficients:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, operator_norm
+from .linalg import DimensionError, _range_exponent, _scaled, _top_singular_values, as_matrix, vec
 
 __all__ = [
     "Permutation",
@@ -346,15 +346,28 @@ def _realize(lam: np.ndarray, m: int, d: int) -> np.ndarray:
     return out.reshape(d ** (2 * m), d * d)
 
 
+def _apply(lam: np.ndarray, x, m: int, d: int) -> np.ndarray:
+    """Image of x under the weight table lam, d^m x d^m: the bits of a sum of permuted slot embeddings."""
+    x = _shaped(x, d, m, "input")
+    reach, target = _gather(m, d)
+    values = np.append(vec(x), np.trace(x))
+    inner = np.zeros(target.shape, dtype=np.complex128)
+    for j, spans in enumerate(reach):  # each weight only where its generator reaches
+        for span, source in spans:
+            inner[:, span] += lam[:, j, None] * values[source]
+    return _support_sums(target, d ** (2 * m), inner).reshape(d**m, d**m)
+
+
 def _residual(superop: np.ndarray, lam: np.ndarray, m: int, d: int) -> float:
     """operator_norm(superop - _realize(lam, m, d)), with the same bits.
 
-    The difference is a copy of superop with the realized values subtracted
-    on the support alone; every other entry is superop's own, as x - 0 is.
+    The difference is superop's copy scaled into range less the scaled realized
+    values on the support alone; every other entry is superop's own, as x - 0 is.
     """
-    difference = superop.copy()
-    difference.reshape(-1)[_support(m, d)[0]] -= _realized(lam, m, d)
-    return operator_norm(difference)
+    e = _range_exponent(superop)
+    difference = _scaled(superop, -e)
+    difference.reshape(-1)[_support(m, d)[0]] -= _realized(_scaled(lam, -e), m, d)
+    return _scaled(float(_top_singular_values(difference)), e)
 
 
 @functools.lru_cache(maxsize=None)
@@ -401,10 +414,10 @@ def _span(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return positions, solver, degenerate
 
 
-def _span_fit(target: np.ndarray, span) -> tuple[np.ndarray, bool]:
-    """(Least-norm) least-squares weights of a flat array over a _span, and its degeneracy."""
+def _span_fit(target: np.ndarray, span, e: int) -> tuple[np.ndarray, bool]:
+    """2**-e times the (least-norm) least-squares weights of a flat array over a _span, and its degeneracy."""
     positions, solver, degenerate = span
-    rhs = target[positions].sum(axis=1)
+    rhs = _scaled(target[positions], -e).sum(axis=1)
     return (solver @ rhs if degenerate else np.linalg.solve(solver, rhs)), degenerate
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _largest_singular_value, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance, _largest_singular_value, _range_exponent, _scaled, as_matrix
 from .operators import _BLOCK, _check_samples, _haar_unitaries, _shaped
 from .twocopy import CovariantCoefficients, _recover
 
@@ -115,14 +115,6 @@ def _haar_axes(x: np.ndarray, d: int, samples: int, seed: int, pairs):
             yield pairs(us[i : i + step])
 
 
-def _finite(a: np.ndarray) -> np.ndarray:
-    """a, or ValueError if an entry overflowed the double range."""
-    if not np.isfinite(a).all():
-        raise ValueError("the Haar average overflows the double range: the input entries are too large")
-    return a
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the callers refuse an overflow with _finite
 def _haar_average(x: np.ndarray, d: int, samples: int, seed: int, pairs):
     """Mean of _conjugate(x, pairs(U_k)) over k < samples, never holding a finished conjugate.
 
@@ -192,36 +184,37 @@ def _adjoint(us: np.ndarray) -> np.ndarray:
     return np.einsum("bst,st->bt", kron.view(np.float64)[:, index], weight).reshape(-1, d * d, d * d)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _top_singular_values refuses an overflow
 def _covariance_defect(superop: np.ndarray, m: int, d: int, samples: int, seed: int) -> float:
     """Largest covariance defect over sampled unitaries and all matrix units.
 
     By unitary invariance of the norm, with W = U^(x m),
     ||F(U X U^dag) - W F(X) W^dag|| = ||W^dag F(U X U^dag) W - F(X)||, so
     the unit defects of one U are the images of the conjugated map minus
-    those of F: (m+1) d^(2m+4) multiply-adds per U, with F subtracted in the
-    conjugates' own memory.  The running maximum is the floor of
-    :func:`covmap.linalg._largest_singular_value`, which solves a Gram
-    spectrum only where a Cholesky test cannot certify the defect below it,
-    and returns the float a full spectrum of every defect gives.
+    those of F: (m+1) d^(2m+4) multiply-adds per U, in range, with no copy
+    of F: the first two pair stacks carry 2**-e between them, and 2**-e F
+    is subtracted a row block at a time, in the conjugates' own memory.
+    The running maximum is the floor of _largest_singular_value.
     """
     _check_samples(samples)
-    dim, worst = d**m, 0.0
+    dim, worst, e = d**m, 0.0, _range_exponent(superop)
+    rows = max(1, (1 << 14) // superop.shape[1])  # a 256 KB block of the scaled F
     for pairs in _haar_axes(superop, d, samples, seed, lambda u: _superoperator_pairs(u, m)):
+        pairs[0], pairs[1] = _scaled(pairs[0], -(e // 2)), _scaled(pairs[1], e // 2 - e)
         stack = _conjugate(superop, pairs)
         del pairs  # as in _haar_average
-        stack -= superop
+        for r in range(0, len(superop), rows):
+            stack[:, r : r + rows] -= _scaled(superop[r : r + rows], -e)
         images = stack.reshape(-1, dim, dim, d * d).transpose(0, 3, 2, 1).reshape(-1, dim, dim)
         # Only the images are held into the next stack: holding the conjugate
         # too, a small heap is trimmed and re-faulted more often (20 samples,
         # d = 3/4: 221/458 minor faults per call against 165/198).
         del stack
         worst = _largest_singular_value(images, worst)
-    return float(worst)
+    return _scaled(float(worst), e)
 
 
 def covariance_deviation(superop, d: int, samples: int = 20, seed: int = 0) -> float:
-    """Largest covariance defect over sampled unitaries and matrix units."""
+    """Largest covariance defect over sampled unitaries and matrix units; past the range, ValueError."""
     return _covariance_defect(_shaped(superop, d), 2, d, samples, seed)
 
 
@@ -259,18 +252,18 @@ def twirl(
     ``samples`` extends the same sample path, and one sample is exactly
     conjugated_superoperator with that unitary.  Weights come from the
     kernel read (:func:`covmap.twocopy.extract`) for d >= 3 and from the
-    least-squares fit (gauge-reduced) at d = 2.
+    least-squares fit (gauge-reduced) at d = 2.  A result past the double range raises ValueError.
     """
     superop = _shaped(superop, d)
     _check_samples(samples, deviation_samples)
-    avg = _finite(_haar_average(superop, d, samples, seed, _superoperator_pairs))
+    e = _range_exponent(superop)
+    avg = _scaled(_haar_average(_scaled(superop, -e), d, samples, seed, _superoperator_pairs), e)
     dev_before = covariance_deviation(superop, d, deviation_samples, seed)
     dev_after = covariance_deviation(avg, d, deviation_samples, seed)
     coeffs, residual = _recover(avg, d, tol)
     return TwirlResult(coeffs, residual, samples, seed, dev_before, dev_after, avg)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def twirl_operator(t, m: int, d: int, samples: int = 1000, seed: int = 0) -> np.ndarray:
     """Haar average of U^(x m) @ t @ U^(x m)^dag, sample-indexed like twirl.
 
@@ -278,15 +271,16 @@ def twirl_operator(t, m: int, d: int, samples: int = 1000, seed: int = 0) -> np.
     coordinates, on which U acts by the real orthogonal Ad_U, so the float
     view of the coordinates is averaged with the real pairs [Ad_U] * m and
     mapped back once.  A Hermitian t has a zero imaginary plane, and its
-    average comes back exactly Hermitian.  A result that overflows the
-    double range raises ValueError.
+    average comes back exactly Hermitian.  It is taken on t scaled into
+    range and scaled back; a result past the double range raises ValueError.
     """
     t = _shaped(t, d, m, "operator")
     _check_samples(samples)
     to_c, to_x, _ = _adjoint_basis(d)
+    e = _range_exponent(t)
     copies = np.arange(2 * m).reshape(2, m).T.ravel()  # the (row, column) axes of each copy
-    x = _read(t.reshape((d,) * 2 * m).transpose(copies).reshape((d * d,) * m), to_c, range(m))
+    x = _read(_scaled(t, -e).reshape((d,) * 2 * m).transpose(copies).reshape((d * d,) * m), to_c, range(m))
     avg = _haar_average(x.view(np.float64), d, samples, seed, lambda us: [_adjoint(us)] * m)
     re, im = avg.reshape(2, -1)  # the fold carries the plane axis ahead of the pair axes
     x = _read((re + 1j * im).reshape((d * d,) * m), to_x, range(m))
-    return _finite(x.reshape((d,) * 2 * m).transpose(np.argsort(copies)).reshape(d**m, d**m))
+    return _scaled(x.reshape((d,) * 2 * m).transpose(np.argsort(copies)).reshape(d**m, d**m), e)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance
-from .operators import _read_weights, _realize, _residual, _rows, _scatter, _shaped, _span
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _range_exponent, _scaled
+from .operators import _apply, _read_weights, _realize, _residual, _scatter, _shaped, _span
 from .operators import _span_fit
 
 __all__ = [
@@ -103,19 +103,8 @@ def virtual_broadcast_coefficients(d: int) -> CovariantCoefficients:
 
 
 def apply_map(c: CovariantCoefficients, x) -> np.ndarray:
-    """Image of the d x d matrix ``x``, a d^2 x d^2 matrix."""
-    d = c.d
-    x = _shaped(x, d, kind="input")
-    eye = np.eye(d, dtype=np.complex128)
-    eye2 = np.eye(d * d, dtype=np.complex128)
-    r = _rows(2, d)[1]  # S @ A == A[r]
-    ix = np.kron(eye, x)
-    xi = np.kron(x, eye)
-    t = np.trace(x)
-    c1, c2, c3, c4, c5, c6 = c.coeffs
-    out = c1 * ix + c2 * xi + c3 * ix[r] + c4 * xi[r]
-    out += (c5 * t) * eye2 + (c6 * t) * eye2[r]
-    return out
+    """Image of the d x d matrix ``x``, a d^2 x d^2 matrix: the kernel's gather at m = 2."""
+    return _apply(c.as_array()[_TABLE], x, 2, c.d)
 
 
 def realize_superoperator(c: CovariantCoefficients) -> np.ndarray:
@@ -166,8 +155,10 @@ def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
     scrubs floating-point dust.  Returns (coefficients, operator-norm residual).
     """
     superop = _shaped(superop, d)
-    sol, _ = _span_fit(superop.reshape(-1), _generator_span(d))
+    e = _range_exponent(superop)  # solved and reduced in range, then scaled back
+    sol, _ = _span_fit(superop.reshape(-1), _generator_span(d), e)
     c = gauge_reduce(CovariantCoefficients(d, tuple(sol)))
+    c = CovariantCoefficients(d, tuple(_scaled(c.as_array(), e)))
     return c, _residual(superop, c.as_array()[_TABLE], 2, d)
 
 

@@ -151,10 +151,10 @@ def test_twirl_near_the_float_limit_exits_0(tmp_path, capsys):
         assert 0 < out[key] < np.inf
 
 
-@pytest.mark.parametrize("scale, code", [(1e307, 0), (1.7e308, 2)])
+@pytest.mark.parametrize("scale, code", [(1e307, 0), (1.7e308, 0)])
 def test_twirl_of_one_entry_near_the_float_limit(tmp_path, capsys, scale, code):
-    # At 1.7e308 the Haar average overflows the double range, which is refused
-    # by name, with no numpy warning; at 1e307 it stays finite.
+    # Scaled into range, neither average nor defect overflows on the way: the
+    # answers themselves stay inside the double range, with no numpy warning.
     rng = np.random.default_rng(17)
     sup = rng.standard_normal((81, 9)) + 1j * rng.standard_normal((81, 9))
     sup /= np.abs(sup).max()
@@ -163,11 +163,45 @@ def test_twirl_of_one_entry_near_the_float_limit(tmp_path, capsys, scale, code):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["twirl", f, "--samples", "10"]) == code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert 0 < out["deviation_before"] < np.inf and 0 < out["residual"] < np.inf
+
+
+def _near_the_limit(tmp_path, scale, shape):
+    """A seeded random complex matrix of the given shape, its largest entry part at scale, written out."""
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a *= scale / np.abs(np.stack([a.real, a.imag])).max()
+    return write(tmp_path / "a.json", matrix_to_obj(a))
+
+
+# Each answer is finite and printed, or past the double range and refused by
+# the one message: never an inf in the output, a numpy warning or a JSON error.
+@pytest.mark.parametrize(
+    "argv, scale, shape, code",
+    [
+        (["multicopy", "fit", "IN", "--m", "2", "--d", "3"], 1e200, (9, 9), 0),
+        (["classify", "IN"], 1e308, (81, 9), 2),
+        (["norm", "IN"], 1e308, (81, 9), 2),
+        (["twirl", "IN", "--samples", "10"], 1e308, (81, 9), 2),
+    ],
+    ids=["multicopy-fit", "classify", "norm", "twirl"],
+)
+def test_near_the_float_limit_exits_0_or_refuses_by_name(tmp_path, capsys, argv, scale, shape, code):
+    f = _near_the_limit(tmp_path, scale, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([f if arg == "IN" else arg for arg in argv]) == code
+    captured = capsys.readouterr()
     if code:
-        assert err.startswith("covmap: ") and "overflows the double range" in err
+        assert captured.err == "covmap: a value overflows the double range\n" and captured.out == ""
     else:
-        assert err == ""
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert 0 < out["residual"] < np.inf
+        assert np.isfinite(out["coefficients"]).all()
 
 
 def _exit_argv(tmp_path, code):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -11,9 +12,12 @@ from covmap.linalg import (
     DimensionError,
     _gram,
     _largest_singular_value,
+    _range_exponent,
+    _scaled,
     _top_singular_values,
     NotHermitianError,
     Tolerance,
+    frobenius_norm,
     hermitian_eigenvalues,
     hs_inner,
     is_psd,
@@ -25,6 +29,7 @@ from covmap.linalg import (
     vec,
 )
 from covmap.operators import haar_unitary, matrix_unit, swap_operator
+from covmap.twocopy import extract, realize_superoperator, virtual_broadcast_coefficients
 
 
 def _rand(rng, n, m=None):
@@ -207,8 +212,9 @@ def test_tall_gram_is_the_complex_product_and_exactly_hermitian():
 @pytest.mark.parametrize("p,q", [(625, 25), (1296, 36), (4096, 16)])
 def test_top_singular_values_of_tall_inputs_in_every_layout(p, q):
     # Only a C-contiguous complex128 matrix can be read as real pairs; the
-    # others take the complex product, and out-of-range scales are redone
-    # on the rescaled matrix, which takes the real product again.
+    # others take the complex product.  At 2**-500 the kernel redoes the
+    # matrix rescaled, which takes the real product again; operator_norm
+    # scales every input into range first.
     rng = np.random.default_rng(p + q)
     a = _rand(rng, 2 * p, 2 * q)
     inputs = {
@@ -238,9 +244,9 @@ def test_top_singular_values_of_zero_are_exactly_zero():
 def test_non_finite_entries_are_refused_as_an_overflow(bad):
     a = np.eye(3, dtype=complex)
     a[1, 2] = bad
-    for stack in (a, np.stack([np.eye(3), a])):
-        with pytest.raises(np.linalg.LinAlgError, match="overflow the double range"):
-            _top_singular_values(stack)
+    for norm in (operator_norm, frobenius_norm, _range_exponent):
+        with pytest.raises(ValueError, match="^a value overflows the double range$"):
+            norm(a)
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
@@ -248,27 +254,42 @@ def test_operator_norm_keeps_the_svd_range(scale):
     # An unscaled Gram matrix would underflow to 0 at 1e-200 and overflow at
     # 1e+200; exact power-of-two scaling keeps the SVD's answer.
     rng = np.random.default_rng(8)
-    for a in (_rand(rng, 9, 4) * scale, rng.standard_normal((3, 6, 6)) * scale):
+    for a in (_rand(rng, 9, 4) * scale, *rng.standard_normal((3, 6, 6)) * scale):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _top_singular_values(a)
-        ref = _svd_norms(a)
-        assert np.all(np.abs(got - ref) <= 16 * EPS * ref)
+            got = operator_norm(a)
+        ref = np.linalg.norm(a, 2)
+        assert abs(got - ref) <= 16 * EPS * ref
     a = np.diag([3.0, -4.0]) * scale
     assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=16 * EPS)
 
 
 def test_in_range_matrices_get_the_plain_gram_bits():
-    # Scaling is only tried after a top eigenvalue leaves the safe range, and
-    # then leaves every in-range matrix of the stack as it is.
+    # The kernel rescales only after a top eigenvalue falls below the safe
+    # range, and then leaves every in-range matrix of the stack as it is;
+    # operator_norm's range scaling keeps the plain bits, shifted.
     rng = np.random.default_rng(9)
     a = _rand(rng, 9, 4)
     plain = np.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1])
     assert _top_singular_values(a) == plain
-    for far in (1e-200, 1e200):
-        got = _top_singular_values(np.stack([a, a * far]))
-        assert got[0] == plain
-        assert abs(got[1] - plain * far) <= 16 * EPS * plain * far
+    got = _top_singular_values(np.stack([a, a * 1e-200]))
+    assert got[0] == plain
+    assert abs(got[1] - plain * 1e-200) <= 16 * EPS * plain * 1e-200
+    for k in (-1000, -600, 600, 1000):
+        assert operator_norm(a * 2.0**k) == math.ldexp(plain, k)  # exact
+
+
+@pytest.mark.parametrize("shift", [-540, -531, -500])
+def test_a_residual_far_below_its_input_takes_the_rescue(shift):
+    # A covariant map plus one entry about 2**shift below its peak, off the
+    # realized support: the difference is formed in the input's range, where
+    # its Gram matrix underflows, and the kernel's rescaling still returns the
+    # entry's modulus exactly.
+    sup = realize_superoperator(virtual_broadcast_coefficients(3))
+    sup[1, 0] = math.ldexp(0.1, shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert extract(sup, 3)[1] == math.ldexp(0.1, shift)
 
 
 def _full_spectrum_max(a, floor=0.0):
@@ -336,35 +357,47 @@ def test_largest_singular_value_of_zero_is_zero_without_warnings():
         assert _largest_singular_value(np.zeros((3, 4, 4), dtype=complex), 0.25) == 0.25
 
 
+def _in_range(a):
+    """a scaled into range by 2**-e, as the callers of the norm kernels scale it, and e."""
+    e = _range_exponent(a)
+    return _scaled(a, -e), e
+
+
 @pytest.mark.parametrize("exponent", [-1000, -520, -500, 500, 520, 1000])
 def test_largest_singular_value_out_of_range_takes_the_guard(monkeypatch, exponent):
-    # 2**-500 underflows the Gram below the safe range, 2**500 leaves it
-    # above, and past 2**511 the Gram itself overflows; all go through the
-    # rescaling of _top_singular_values.
+    # 2**-500 underflows the Gram below the safe range and goes through the
+    # rescaling of _top_singular_values.  Past 2**500 the kernel is never
+    # called: the callers scale the stack into range, where no guard runs,
+    # and the result is the plain one shifted, bit for bit.
     rng = np.random.default_rng(14)
     plain = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
     a = plain * 2.0**exponent  # exact
-    want = _full_spectrum_max(a)
     guarded = _count_calls(monkeypatch, covmap.linalg, "_top_singular_values")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert _largest_singular_value(a) == want
-    assert len(guarded) == 1
-    assert want == pytest.approx(float(_svd_norms(plain).max()) * 2.0**exponent, rel=16 * EPS)
-    guarded.clear()
-    assert _largest_singular_value(plain) == _full_spectrum_max(plain)
-    assert not guarded
+        want = _largest_singular_value(plain)
+        assert not guarded
+        scaled, e = _in_range(a)
+        assert _scaled(_largest_singular_value(scaled), e) == math.ldexp(want, exponent)
+        assert not guarded
+        if exponent < 0:
+            assert _largest_singular_value(a) == _full_spectrum_max(a)
+            assert len(guarded) == 1
+    assert want == _full_spectrum_max(plain)
+    assert want == pytest.approx(float(_svd_norms(plain).max()), rel=16 * EPS)
 
 
 @pytest.mark.parametrize("exponent", [-1000, -520, 520, 1000])
 def test_largest_singular_value_beside_one_out_of_range_matrix(exponent):
-    # One matrix scaled far out of range among in-range ones, in every
-    # place, with floors below, at and above the maximum.
+    # One matrix scaled far from the others, in every place, with floors
+    # below, at and above the maximum; scaled into range as the callers
+    # scale it, a large one leaves the others far below the safe range.
     rng = np.random.default_rng(16)
     plain = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
     for k in range(len(plain)):
         stack = plain.copy()
         stack[k] *= 2.0**exponent  # exact
+        stack = _in_range(stack)[0]
         top = _full_spectrum_max(stack)
         for floor in (0.0, 0.5 * top, top, 2 * top):
             with warnings.catch_warnings():

@@ -649,20 +649,40 @@ def test_covariance_defect_memory_is_near_input_size_and_flat_in_samples():
     assert _defect_peak(sup, 2, 3, 500) < 1.1 * _defect_peak(sup, 2, 3, 50)
 
 
-# Past 2**511 the Gram matrices of the unit defects overflow.
+# Unscaled, the Gram matrices of the unit defects would underflow at 2**-500
+# and overflow past 2**511; scaled into range, the defect is the plain one
+# shifted, bit for bit.
 @pytest.mark.parametrize("exponent", [-500, 500, 520, 1000])
 def test_covariance_defect_out_of_the_gram_range(exponent):
     for m, d in [(2, 3), (3, 3)]:
         rng = np.random.default_rng(42)
-        sup = _defect_input("noisy", m, d, rng) * 2.0**exponent  # exact
+        plain_sup = _defect_input("noisy", m, d, rng)
+        sup = plain_sup * 2.0**exponent  # exact
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = covariance_residual_multi(sup, m, d, samples=2, seed=1)
-        assert got == _stacked_defect(sup, m, d, 2, 1, _top_singular_values)
-        plain = covariance_residual_multi(sup * 2.0**-exponent, m, d, samples=2, seed=1)
-        assert got == pytest.approx(plain * 2.0**exponent, rel=1e-12)
+        plain = covariance_residual_multi(plain_sup, m, d, samples=2, seed=1)
+        assert plain == _stacked_defect(plain_sup, m, d, 2, 1, _top_singular_values)
+        assert got == math.ldexp(plain, exponent)
         if m == 2:
             assert covariance_deviation(sup, d, 2, 1) == got
+
+
+@pytest.mark.parametrize("exponent", [300, 380])
+def test_covariance_defect_ranks_its_stack_at_every_scale(monkeypatch, exponent):
+    # Unscaled, tr(G^2) of _weighted_means overflowed past entries of 2**256,
+    # every estimate tied at inf and the Cholesky order was lost.
+    rng = np.random.default_rng(45)
+    sup = _defect_input("noisy", 3, 4, rng)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    want = covariance_residual_multi(sup, 3, 4, samples=2, seed=2)
+    solves = len(calls)
+    calls.clear()
+    got = covariance_residual_multi(sup * 2.0**exponent, 3, 4, samples=2, seed=2)
+    assert len(calls) == solves
+    assert got == math.ldexp(want, exponent)
 
 
 @pytest.mark.parametrize("m,d", KERNEL_SHAPES)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmap.linalg import DimensionError, Tolerance, is_psd, kron, operator_norm, unvec, vec
-from covmap.multicopy import from_two_copy, realize_multi_superoperator
+from covmap.multicopy import apply_multi, from_two_copy, realize_multi_superoperator
 from covmap.operators import haar_unitary, matrix_unit, swap_operator
 from covmap.twocopy import (
     GAUGE_DIRECTION,
@@ -78,8 +78,8 @@ def test_apply_trace_relation():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_apply_matches_dense_swap_products(d):
-    # The closed form with S built densely and multiplied in, as before
-    # apply_map gathered rows instead.
+    # apply_map is the m = 2 gather, bit for bit, and the closed form with S
+    # built densely and multiplied in, up to the rounding of a six-term sum.
     rng = np.random.default_rng(600 + d)
     c = _random_coeffs(rng, d)
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -87,9 +87,11 @@ def test_apply_matches_dense_swap_products(d):
     eye = np.eye(d, dtype=np.complex128)
     ix, xi, t = np.kron(eye, x), np.kron(x, eye), np.trace(x)
     c1, c2, c3, c4, c5, c6 = c.coeffs
-    want = c1 * ix + c2 * xi + c3 * (s @ ix) + c4 * (s @ xi)
-    want += (c5 * t) * np.eye(d * d, dtype=np.complex128) + (c6 * t) * s
-    assert apply_map(c, x).tobytes() == want.tobytes()
+    terms = [c1 * ix, c2 * xi, c3 * (s @ ix), c4 * (s @ xi), (c5 * t) * np.eye(d * d), (c6 * t) * s]
+    got = apply_map(c, x)
+    assert got.tobytes() == apply_multi(from_two_copy(c), x).tobytes()
+    eps = np.finfo(float).eps
+    assert np.abs(got - sum(terms)).max() <= 4 * eps * max(np.abs(term).max() for term in terms)
 
 
 def test_apply_shape_mismatch():
