@@ -6,21 +6,26 @@ complete-positivity verdict is an eigenvalue test at tolerance on the Choi
 spectrum, read in closed form from one 2 x 2 block and the trace-sector
 weights; it is tagged ``numerical-only`` because it is not a closed
 inequality in the weights.
+
+A public predicate and :func:`classify` call the same helper per verdict,
+and classify evaluates each quantity the verdicts share once.  A reported
+value past the double range raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, as_matrix, operator_norm
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _range_exponent, _scaled, as_matrix, operator_norm
 from .multicopy import _schur_weyl
 from .operators import _shaped
 from .twocopy import (
     CovariantCoefficients,
     gauge_reduce,
-    maps_equal,
     virtual_broadcast_coefficients,
 )
 
@@ -41,15 +46,43 @@ __all__ = [
 ]
 
 
-def _self_adjoint_violation(c: CovariantCoefficients) -> float:
-    c1, c2, c3, c4, c5, c6 = c.coeffs
-    return max(
-        abs(c1.imag),
-        abs(c2.imag),
-        abs(c5.imag),
-        abs(c6.imag),
-        abs(c4 - np.conj(c3)),
-    )
+class _Units(NamedTuple):
+    """One call's weights c, times 2**-shift, their gauge reduction g, and in the same
+    units scale = max(1, largest weight magnitude) and thr = tol.bound(scale).
+
+    Every quantity a verdict forms but _cp's determinant, which scales once
+    more, is at most 16 (d + 2) times the largest weight part.  shift is the
+    least that keeps that bound inside the double range, so 0 below it, and
+    each quantity is its unscaled value times 2**-shift wherever that is finite.
+    """
+
+    c: CovariantCoefficients
+    g: CovariantCoefficients
+    shift: int
+    scale: float
+    thr: float
+    tol: Tolerance
+
+
+def _units(c: CovariantCoefficients, tol: Tolerance) -> _Units:
+    a = c.as_array()
+    shift = max(0, _range_exponent(a) + (16 * (c.d + 2)).bit_length() - 1023)
+    if shift:
+        c = CovariantCoefficients(c.d, tuple(_scaled(a, -shift)))
+    scale = max(math.ldexp(1.0, -shift), c.max_magnitude())
+    return _Units(c, gauge_reduce(c), shift, scale, _bound(tol, scale, shift), tol)
+
+
+def _bound(tol: Tolerance, x, shift: int) -> float:
+    """tol.bound(2**shift x) times 2**-shift: tol.bound(x) at shift 0."""
+    return math.ldexp(tol.abs, -shift) + tol.rel * float(x)
+
+
+def _self_adjoint(u: _Units) -> tuple[bool, float]:
+    """The self-adjoint verdict and its violation, in units."""
+    c1, c2, c3, c4, c5, c6 = u.g.coeffs
+    violation = max(abs(c1.imag), abs(c2.imag), abs(c5.imag), abs(c6.imag), abs(c4 - np.conj(c3)))
+    return bool(violation <= u.thr), violation
 
 
 def is_self_adjoint(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -61,13 +94,11 @@ def is_self_adjoint(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> b
     representative of a self-adjoint map differs from one of them by a
     complex multiple of g, which gauge_reduce removes.
     """
-    thr = tol.bound(max(1.0, c.max_magnitude()))
-    return bool(_self_adjoint_violation(gauge_reduce(c)) <= thr)
+    return _self_adjoint(_units(c, tol))[0]
 
 
-def _real_normal_form(c: CovariantCoefficients):
-    """Real weights (m1, m2, m5, m6) and complex m3 of a self-adjoint vector."""
-    g = gauge_reduce(c)
+def _real_normal_form(g: CovariantCoefficients):
+    """Real weights (m1, m2, m5, m6) and complex m3 of a gauge-reduced self-adjoint vector."""
     c1, c2, c3, c4, c5, c6 = g.coeffs
     m3 = (c3 + np.conj(c4)) / 2
     return c1.real, c2.real, complex(m3), c5.real, c6.real
@@ -78,8 +109,8 @@ def _trace_sector(m5: float, m6: float, d: int) -> list[float]:
     return [m5 + m6, m5 - m6] if d >= 3 else [m5 + m6]
 
 
-def _choi_spectrum(c: CovariantCoefficients) -> np.ndarray:
-    """Distinct eigenvalues of the Hermitian part of the Choi matrix.
+def _choi_spectrum(form, d: int) -> np.ndarray:
+    """Distinct eigenvalues of the Hermitian part of the Choi matrix, from the real normal form.
 
     The Choi matrix commutes with conj(U) (x) U (x) U, so it lies in the
     walled Brauer algebra B_{2,1}(d).  The vectors sum_k |k, k, v> and
@@ -88,29 +119,37 @@ def _choi_spectrum(c: CovariantCoefficients) -> np.ndarray:
     K = [[m2, m3], [conj m3, m1]] and T = [[m5, m6], [m6, m5]].  The rest
     of the spectrum is the trace sector.
     """
-    m1, m2, m3, m5, m6 = _real_normal_form(c)
-    a, b = np.sqrt(c.d + 1), np.sqrt(c.d - 1)
+    m1, m2, m3, m5, m6 = form
+    a, b = np.sqrt(d + 1), np.sqrt(d - 1)
     r = np.array([[a + b, a - b], [a - b, a + b]]) / 2
     k = np.array([[m2, m3], [np.conj(m3), m1]], dtype=np.complex128)
     t = np.array([[m5, m6], [m6, m5]])
     block = np.linalg.eigvalsh(r @ k @ r + t)
-    return np.concatenate([block, _trace_sector(m5, m6, c.d)])
+    return np.concatenate([block, _trace_sector(m5, m6, d)])
 
 
-def positivity_margin(c: CovariantCoefficients) -> float:
+def _positivity_margin(form, d: int) -> float:
     """Smallest slack among the positivity conditions; >= 0 means positive.
 
     The conditions are exactly the eigenvalue families of the image of
     e1 e1*: the total weight, the 2 x 2 mixing block, and the trace-sector
     weights (m5 +- m6 for d >= 3, m5 + m6 for d = 2).
     """
-    m1, m2, m3, m5, m6 = _real_normal_form(c)
+    m1, m2, m3, m5, m6 = form
     total = m1 + m2 + 2 * m3.real + m5 + m6
     block = np.array(
         [[m1 + m5, np.conj(m3) + m6], [m3 + m6, m2 + m5]], dtype=np.complex128
     )
     block_min = float(np.linalg.eigvalsh(block)[0])
-    return float(min(total, block_min, *_trace_sector(m5, m6, c.d)))
+    return float(min(total, block_min, *_trace_sector(m5, m6, d)))
+
+
+def _positive(u: _Units, sa: bool, form) -> tuple[bool, float | None]:
+    """The positivity verdict and margin, in units; a map that is not self-adjoint has no margin."""
+    if not sa:
+        return False, None
+    margin = _positivity_margin(form, u.c.d)
+    return margin >= -u.thr, margin
 
 
 def is_positive(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -120,10 +159,8 @@ def is_positive(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
     verdict is the closed criterion, equivalent to PSD-ness of the image
     of a rank-one projector.
     """
-    if not is_self_adjoint(c, tol):
-        return False
-    thr = tol.bound(max(1.0, c.max_magnitude()))
-    return positivity_margin(c) >= -thr
+    u = _units(c, tol)
+    return _positive(u, _self_adjoint(u)[0], _real_normal_form(u.g))[0]
 
 
 @dataclass(frozen=True)
@@ -142,6 +179,33 @@ class CpResult:
     witness: float
 
 
+def _cp(u: _Units, sa: bool, form) -> CpResult:
+    """is_cp from the units, the self-adjoint verdict and the real normal form."""
+    c1, c2, c3, c4, c5, c6 = u.c.coeffs
+    if max(abs(c5), abs(c6)) <= u.thr:
+        margins = [
+            -abs(c1.imag),
+            -abs(c2.imag),
+            c1.real,
+            c2.real,
+            -abs(c4 - np.conj(c3)),
+        ]
+        linear = min(margins)  # at most -0.0, so a determinant >= 0 never binds
+        # The determinant in units of 4**-(shift + k): k is 0 unless a square of the scale passes the range.
+        k = max(0, math.frexp(u.scale)[1] - 511)
+        a1, a2, a3 = (math.ldexp(x, -k) for x in (c1.real, c2.real, abs(c3)))
+        det = a1 * a2 - a3**2
+        ok = linear >= -u.thr and det >= -_bound(u.tol, math.ldexp(u.scale, -k) ** 2, 2 * (u.shift + k))
+        witness = _scaled(float(linear), u.shift)
+        if det < 0:
+            witness = min(witness, _scaled(det, 2 * (u.shift + k)))
+        return CpResult("yes" if ok else "no", ok, witness)
+    spectrum = _choi_spectrum(form, u.c.d)
+    witness = float(spectrum.min())
+    ok = sa and witness >= -_bound(u.tol, np.abs(spectrum).max(), u.shift)
+    return CpResult("numerical-only", bool(ok), _scaled(witness, u.shift))
+
+
 def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
     """Complete positivity: closed criterion when trace terms vanish.
 
@@ -150,40 +214,28 @@ def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
     self-adjoint and the smallest Choi eigenvalue (see _choi_spectrum) is
     at least -tol.bound(largest |eigenvalue|); tagged numerical-only.
     """
-    c1, c2, c3, c4, c5, c6 = c.coeffs
-    scale = max(1.0, c.max_magnitude())
-    thr = tol.bound(scale)
-    if max(abs(c5), abs(c6)) <= thr:
-        margins = [
-            -abs(c1.imag),
-            -abs(c2.imag),
-            c1.real,
-            c2.real,
-            -abs(c4 - np.conj(c3)),
-        ]
-        linear = min(margins)
-        det = c1.real * c2.real - abs(c3) ** 2
-        ok = linear >= -thr and det >= -tol.bound(scale**2)
-        return CpResult("yes" if ok else "no", ok, float(min(linear, det)))
-    spectrum = _choi_spectrum(c)
-    witness = float(spectrum.min())
-    ok = is_self_adjoint(c, tol) and witness >= -tol.bound(np.abs(spectrum).max())
-    return CpResult("numerical-only", bool(ok), witness)
+    u = _units(c, tol)
+    return _cp(u, _self_adjoint(u)[0], _real_normal_form(u.g))
 
 
-def broadcast_residual(c: CovariantCoefficients) -> float:
-    """Largest violation of the linear broadcast constraints."""
-    c1, c2, c3, c4, c5, c6 = c.coeffs
-    d = c.d
-    return float(
-        max(abs(c1 - c2), abs(d * c1 + c3 + c4 - 1), abs(d * c5 + c2 + c6))
+def _broadcast(u: _Units) -> tuple[bool, float]:
+    """The broadcast verdict and the largest violation of its linear constraints, in units."""
+    c1, c2, c3, c4, c5, c6 = u.c.coeffs
+    d, one = u.c.d, math.ldexp(1.0, -u.shift)
+    residual = float(
+        max(abs(c1 - c2), abs(d * c1 + c3 + c4 - one), abs(d * c5 + c2 + c6))
     )
+    return residual <= u.thr, residual
 
 
 def satisfies_broadcast(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether both partial traces of every image reproduce the input."""
-    thr = tol.bound(max(1.0, c.max_magnitude()))
-    return broadcast_residual(c) <= thr
+    return _broadcast(_units(c, tol))[0]
+
+
+def _permutation_invariant(u: _Units) -> bool:
+    c1, c2, c3, c4, _, _ = u.g.coeffs
+    return bool(max(abs(c1 - c2), abs(c3 - c4)) <= u.thr)
 
 
 def is_permutation_invariant(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -192,10 +244,7 @@ def is_permutation_invariant(c: CovariantCoefficients, tol: Tolerance = DEFAULT_
     Holds exactly when c1 = c2 and c3 = c4; both differences are gauge
     invariant, so the d = 2 reduction is only for canonical form.
     """
-    g = gauge_reduce(c)
-    c1, c2, c3, c4, _, _ = g.coeffs
-    thr = tol.bound(max(1.0, c.max_magnitude()))
-    return bool(max(abs(c1 - c2), abs(c3 - c4)) <= thr)
+    return _permutation_invariant(_units(c, tol))
 
 
 def _check_basis(basis, d: int, tol: Tolerance) -> np.ndarray:
@@ -230,6 +279,13 @@ def classical_broadcast(x, basis=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     return (doubled * weights) @ doubled.conj().T
 
 
+def _classically_consistent(u: _Units) -> bool:
+    c1, c2, _, _, c5, c6 = u.c.coeffs
+    defects = [sum(u.c.coeffs) - math.ldexp(1.0, -u.shift), c1 + c5, c2 + c5, c5 + c6]
+    defects += [c5] if u.c.d >= 3 else []
+    return max(map(abs, defects)) <= u.thr
+
+
 def is_classically_consistent(
     c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL, basis=None
 ) -> bool:
@@ -243,16 +299,24 @@ def is_classically_consistent(
     the verdict is the same in every orthonormal basis, so ``basis`` is
     only validated.
     """
-    _check_basis(basis, c.d, tol)
-    c1, c2, _, _, c5, c6 = c.coeffs
-    defects = [sum(c.coeffs) - 1, c1 + c5, c2 + c5, c5 + c6] + ([c5] if c.d >= 3 else [])
-    thr = tol.bound(max(1.0, c.max_magnitude()))
-    return max(map(abs, defects)) <= thr
+    if basis is not None:
+        _check_basis(basis, c.d, tol)
+    return _classically_consistent(_units(c, tol))
+
+
+def _virtual_broadcaster(u: _Units) -> tuple[bool, float]:
+    """maps_equal(c, B_vb) and the largest gap between their gauge-reduced weights, in units."""
+    a = u.g.as_array()
+    b = gauge_reduce(virtual_broadcast_coefficients(u.c.d)).as_array()
+    if u.shift:
+        b = _scaled(b, -u.shift)
+    gap = float(np.abs(a - b).max())
+    return bool(gap <= _bound(u.tol, max(np.abs(a).max(), np.abs(b).max()), u.shift)), gap
 
 
 def is_virtual_broadcaster(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the map is the symmetrized broadcaster, up to gauge."""
-    return maps_equal(c, virtual_broadcast_coefficients(c.d), tol)
+    return _virtual_broadcaster(_units(c, tol))[0]
 
 
 def commutant_fit(t, d: int) -> tuple[complex, complex, float]:
@@ -292,31 +356,39 @@ class ClassificationReport:
 def classify(
     c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL, basis=None
 ) -> ClassificationReport:
-    """Run every verdict once and bundle the results."""
-    sa = is_self_adjoint(c, tol)
-    cp = is_cp(c, tol)
+    """Run every verdict once and bundle the results.
+
+    The verdicts share one threshold, one gauge reduction and one real
+    normal form, and each quantity that two of them read is evaluated
+    once.  Evidence is scaled back from the units of _Units; a value past
+    the double range raises ValueError.
+    """
+    if basis is not None:
+        _check_basis(basis, c.d, tol)
+    u = _units(c, tol)
+    sa, violation = _self_adjoint(u)
+    form = _real_normal_form(u.g)
+    positive, margin = _positive(u, sa, form)
+    cp = _cp(u, sa, form)
+    broadcasting, residual = _broadcast(u)
+    virtual_broadcaster, gap = _virtual_broadcaster(u)
     evidence = {
-        "self_adjoint_violation": float(_self_adjoint_violation(gauge_reduce(c))),
-        "positivity_margin": positivity_margin(c) if sa else None,
+        "self_adjoint_violation": _scaled(violation, u.shift),
+        "positivity_margin": None if margin is None else _scaled(margin, u.shift),
         "cp_witness": cp.witness,
         "cp_holds": cp.is_cp,
-        "broadcast_residual": broadcast_residual(c),
-        "virtual_broadcaster_distance": float(
-            np.abs(
-                gauge_reduce(c).as_array()
-                - gauge_reduce(virtual_broadcast_coefficients(c.d)).as_array()
-            ).max()
-        ),
+        "broadcast_residual": _scaled(residual, u.shift),
+        "virtual_broadcaster_distance": _scaled(gap, u.shift),
     }
     return ClassificationReport(
         d=c.d,
         coefficients=c,
         self_adjoint=sa,
-        positive=is_positive(c, tol),
+        positive=positive,
         completely_positive=cp.status,
-        broadcasting=satisfies_broadcast(c, tol),
-        permutation_invariant=is_permutation_invariant(c, tol),
-        classically_consistent=is_classically_consistent(c, tol, basis),
-        virtual_broadcaster=is_virtual_broadcaster(c, tol),
+        broadcasting=broadcasting,
+        permutation_invariant=_permutation_invariant(u),
+        classically_consistent=_classically_consistent(u),
+        virtual_broadcaster=virtual_broadcaster,
         evidence=evidence,
     )

@@ -13,6 +13,7 @@ computes exactly.  ``monte_carlo_norm``, ``psi_identity_norm`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +82,15 @@ def psi_identity_norm(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) ->
     return float(max(abs(c1 + c2 + c3 + c4), abs(c1 + c2 - c3 - c4)))
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(d, 1), read-only: the index pairs i < j depend on d alone."""
+    pairs = np.triu_indices(d, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def _spectral_norms(c: CovariantCoefficients, lam: np.ndarray) -> np.ndarray:
     """Image norms of normal inputs with eigenvalues lam, one row per input.
 
@@ -93,7 +103,7 @@ def _spectral_norms(c: CovariantCoefficients, lam: np.ndarray) -> np.ndarray:
     half the digits where the two singular values meet.
     """
     c1, c2, c3, c4, _, _ = c.coeffs
-    i, j = np.triu_indices(lam.shape[1], 1)
+    i, j = _pairs(lam.shape[1])
     li, lj = lam[:, i], lam[:, j]
     m11, m12 = c1 * lj + c2 * li, c3 * li + c4 * lj
     m21, m22 = c3 * lj + c4 * li, c1 * li + c2 * lj

@@ -18,13 +18,13 @@ exact Gram solve over their positions (``_span_fit``), whose Gram matrix
 is counted once per basis (``_span``).  A residual against a realized map
 is taken on the realized support alone (``_residual``).
 
-Cache: the row indices, the scatter positions of the generators, their
-joint support, the ones of the permutation operators with their Gram
-matrix and the image entries that apply gathers depend on (m, d) alone.
-Each (m, d) is built on first use and kept for the life of the process;
-the cache holds this structure only, never weights or results.  It takes
-about 2.7 MB at (4, 4) and about 8.4 MB for all 23 pairs inside the
-multicopy desk cap.
+Cache: the row indices, the scatter positions of the generators and the
+entries each generator hits, their joint support, the ones of the
+permutation operators with their Gram matrix and the image entries that
+apply gathers depend on (m, d) alone.  Each (m, d) is built on first use
+and kept for the life of the process, read-only; the cache holds this
+structure only, never weights or results.  It takes about 2.7 MB at
+(4, 4) and about 9.0 MB for all 23 pairs inside the multicopy desk cap.
 """
 
 from __future__ import annotations
@@ -255,6 +255,16 @@ def _scatter(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
+def _hit_columns(m: int, d: int) -> tuple[np.ndarray, ...]:
+    """np.flatnonzero(hits[:, j]) of _scatter(m, d) for each generator j, read-only."""
+    hits, _ = _scatter(m, d)
+    columns = tuple(np.flatnonzero(hits[:, j]) for j in range(m + 1))
+    for a in columns:
+        a.setflags(write=False)
+    return columns
+
+
+@functools.lru_cache(maxsize=None)
 def _gather(m: int, d: int) -> tuple[tuple, np.ndarray]:
     """Where the generators read x and write its d^m x d^m image.
 
@@ -331,11 +341,10 @@ def _realized(lam: np.ndarray, m: int, d: int) -> np.ndarray:
     Weights are summed per permutation in generator order, then across
     permutations in order, as a sum of permuted dense images would be.
     """
-    hits, _ = _scatter(m, d)
     support, inverse = _support(m, d)
     inner = np.zeros(inverse.shape, dtype=np.complex128)
-    for j in range(m + 1):
-        inner[:, hits[:, j]] += lam[:, j, None]
+    for j, columns in enumerate(_hit_columns(m, d)):
+        inner[:, columns] += lam[:, j, None]
     return _support_sums(inverse, support.size, inner)
 
 
@@ -358,13 +367,15 @@ def _apply(lam: np.ndarray, x, m: int, d: int) -> np.ndarray:
     return _support_sums(target, d ** (2 * m), inner).reshape(d**m, d**m)
 
 
-def _residual(superop: np.ndarray, lam: np.ndarray, m: int, d: int) -> float:
+def _residual(superop: np.ndarray, lam: np.ndarray, m: int, d: int, e: int | None = None) -> float:
     """operator_norm(superop - _realize(lam, m, d)), with the same bits.
 
     The difference is superop's copy scaled into range less the scaled realized
     values on the support alone; every other entry is superop's own, as x - 0 is.
+    ``e`` is _range_exponent(superop) when the caller has it already.
     """
-    e = _range_exponent(superop)
+    if e is None:
+        e = _range_exponent(superop)
     difference = _scaled(superop, -e)
     difference.reshape(-1)[_support(m, d)[0]] -= _realized(_scaled(lam, -e), m, d)
     return _scaled(float(_top_singular_values(difference)), e)

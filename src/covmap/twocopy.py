@@ -159,7 +159,7 @@ def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
     sol, _ = _span_fit(superop.reshape(-1), _generator_span(d), e)
     c = gauge_reduce(CovariantCoefficients(d, tuple(sol)))
     c = CovariantCoefficients(d, tuple(_scaled(c.as_array(), e)))
-    return c, _residual(superop, c.as_array()[_TABLE], 2, d)
+    return c, _residual(superop, c.as_array()[_TABLE], 2, d, e)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from covmap.classify import (
     _choi_spectrum,
+    _positivity_margin,
+    _real_normal_form,
     classical_broadcast,
     classify,
     commutant_fit,
@@ -221,7 +223,7 @@ def test_cp_with_trace_terms_matches_dense_choi():
 def test_choi_spectrum_is_the_dense_spectrum(d, parts):
     c = CovariantCoefficients(d, tuple(complex(parts[2 * k], parts[2 * k + 1]) for k in range(6)))
     dense = dense_choi_eigenvalues(c)
-    closed = _choi_spectrum(c)
+    closed = _choi_spectrum(_real_normal_form(gauge_reduce(c)), d)
     gaps = np.abs(dense[:, None] - closed[None, :])
     scale = max(1.0, np.abs(dense).max())
     assert gaps.min(axis=1).max() <= 1e-10 * scale
@@ -476,3 +478,58 @@ def test_classify_cp_tag_reflects_trace_terms():
 def test_commutant_fit_has_no_desk_cap():
     # d = 17 is past the multicopy desk cap d**2 <= 256.
     assert commutant_fit(swap_operator(17), 17) == (0, 1, 0)
+
+
+def _pinning_vectors(d, rng):
+    """Random weights: generic, self-adjoint, and each of them trace-free."""
+    vectors = []
+    for _ in range(30):
+        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        adjoint = np.array([w[0].real, w[1].real, w[2], np.conj(w[2]), w[4].real, w[5].real])
+        for v in (w, adjoint):
+            vectors += [v, np.concatenate([v[:4], [0, 0]])]
+    return [CovariantCoefficients(d, tuple(v)) for v in vectors]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_every_report_field_is_its_public_predicate(d):
+    # classify evaluates each shared quantity once; every field it reports
+    # must still have the bits of the predicate or helper that states it.
+    vb = gauge_reduce(virtual_broadcast_coefficients(d)).as_array()
+    for c in _pinning_vectors(d, np.random.default_rng(70 + d)):
+        g = gauge_reduce(c)
+        c1, c2, c3, c4, c5, c6 = c.coeffs
+        for tol in (DEFAULT_TOL, TIGHT):
+            rep = classify(c, tol)
+            cp = is_cp(c, tol)
+            want = [
+                is_self_adjoint(c, tol),
+                is_positive(c, tol),
+                cp.status,
+                satisfies_broadcast(c, tol),
+                is_permutation_invariant(c, tol),
+                is_classically_consistent(c, tol),
+                is_virtual_broadcaster(c, tol),
+            ]
+            got = [
+                rep.self_adjoint,
+                rep.positive,
+                rep.completely_positive,
+                rep.broadcasting,
+                rep.permutation_invariant,
+                rep.classically_consistent,
+                rep.virtual_broadcaster,
+            ]
+            assert repr(got) == repr(want)
+            margin = _positivity_margin(_real_normal_form(g), d) if rep.self_adjoint else None
+            residual = max(abs(c1 - c2), abs(d * c1 + c3 + c4 - 1), abs(d * c5 + c2 + c6))
+            g1, g2, g3, g4, g5, g6 = g.coeffs
+            violation = max(abs(g1.imag), abs(g2.imag), abs(g5.imag), abs(g6.imag), abs(g4 - np.conj(g3)))
+            assert repr(rep.evidence) == repr({
+                "self_adjoint_violation": float(violation),
+                "positivity_margin": margin,
+                "cp_witness": cp.witness,
+                "cp_holds": cp.is_cp,
+                "broadcast_residual": float(residual),
+                "virtual_broadcaster_distance": float(np.abs(g.as_array() - vb).max()),
+            })

@@ -170,9 +170,16 @@ def test_twirl_of_one_entry_near_the_float_limit(tmp_path, capsys, scale, code):
 
 
 def _near_the_limit(tmp_path, scale, shape):
-    """A seeded random complex matrix of the given shape, its largest entry part at scale, written out."""
-    rng = np.random.default_rng(18)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """A matrix with its largest entry part at scale, written out.
+
+    ``shape`` gives a seeded random complex matrix; a tuple of six weights
+    gives their d = 3 superoperator, which is exactly covariant.
+    """
+    if len(shape) == 6:
+        a = realize_superoperator(CovariantCoefficients(3, shape))
+    else:
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a *= scale / np.abs(np.stack([a.real, a.imag])).max()
     return write(tmp_path / "a.json", matrix_to_obj(a))
 
@@ -186,8 +193,10 @@ def _near_the_limit(tmp_path, scale, shape):
         (["classify", "IN"], 1e308, (81, 9), 2),
         (["norm", "IN"], 1e308, (81, 9), 2),
         (["twirl", "IN", "--samples", "10"], 1e308, (81, 9), 2),
+        (["classify", "IN"], 1e308, (1, 0.5, -0.3, 0.2, 0, 0), 2),
+        (["classify", "IN"], 1e308, (1, 0.5, -0.3, 0.2, 0.1j, 0.05), 2),
     ],
-    ids=["multicopy-fit", "classify", "norm", "twirl"],
+    ids=["multicopy-fit", "classify", "norm", "twirl", "classify-covariant", "classify-covariant-trace"],
 )
 def test_near_the_float_limit_exits_0_or_refuses_by_name(tmp_path, capsys, argv, scale, shape, code):
     f = _near_the_limit(tmp_path, scale, shape)

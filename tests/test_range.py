@@ -4,7 +4,9 @@ Each kernel scales its working array into range by 2**-e and its result
 back by 2**e, so f(2**k F) == 2**k f(F) bit for bit wherever 2**k F is
 exact, as it is when no entry is subnormal, and 2**k f(F) stays inside the
 double range.  Otherwise it returns a finite result or refuses with the
-one overflow message, and it never gives inf, NaN or a warning.
+one overflow message, and it never gives inf, NaN or a warning.  classify
+scales its weights only where a verdict quantity could overflow, with
+the same bits times the power of two.
 """
 
 import functools
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covmap.linalg import frobenius_norm, operator_norm
+from covmap.classify import classify
+from covmap.linalg import Tolerance, frobenius_norm, operator_norm
 from covmap.multicopy import (
     MultiCopyCoefficients,
     covariance_residual_multi,
@@ -25,7 +28,7 @@ from covmap.multicopy import (
     schur_weyl_fit,
 )
 from covmap.twirl import covariance_deviation, twirl, twirl_operator
-from covmap.twocopy import extract, fit_coefficients
+from covmap.twocopy import CovariantCoefficients, extract, fit_coefficients
 
 OVERFLOW = "^a value overflows the double range$"
 
@@ -119,3 +122,43 @@ def test_power_of_two_scaling_is_exact(name, k):
         assert got.tobytes() == _shifted(plain, k).tobytes()
     else:
         assert got == math.ldexp(plain, k)
+
+
+def _weights_at(v, d, k):
+    return CovariantCoefficients(d, tuple(np.ldexp(v.real, k) + 1j * np.ldexp(v.imag, k)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_classify_keeps_its_bits_where_it_scales_the_weights(d):
+    # Weight parts of 2**1016 and up are scaled down before any verdict
+    # quantity is formed; at 2**1000 they are not.  Both sit far above the
+    # constants 1 and 1/2 of the verdicts and, with a relative tolerance,
+    # every verdict agrees and every evidence value is the power of two apart.
+    tol = Tolerance(abs=0.0, rel=1e-9)
+    rng = np.random.default_rng(90 + d)
+    for _ in range(20):
+        w = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+        adjoint = np.array([w[0].real, w[1].real, w[2], np.conj(w[2]), w[4].real, w[5].real])
+        for v in (w, adjoint, np.concatenate([adjoint[:4], [0, 0]])):
+            v = v * (0.75 / np.abs(np.stack([v.real, v.imag])).max())  # largest part in [1/2, 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reports = []
+                for k in (1000, 1017):
+                    try:
+                        reports.append(classify(_weights_at(v, d, k), tol))
+                    except ValueError as exc:  # a determinant witness past the range
+                        assert str(exc) == "a value overflows the double range"
+                        reports.append(None)
+            low, high = reports
+            if low is None:
+                assert high is None
+                continue
+            fields = ("self_adjoint", "positive", "completely_positive", "broadcasting",
+                      "permutation_invariant", "classically_consistent", "virtual_broadcaster")
+            assert [repr(getattr(high, f)) for f in fields] == [repr(getattr(low, f)) for f in fields]
+            for key, value in low.evidence.items():
+                if isinstance(value, float):
+                    assert high.evidence[key] == math.ldexp(value, 17), key
+                else:
+                    assert repr(high.evidence[key]) == repr(value), key

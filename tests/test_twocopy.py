@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,9 @@ from hypothesis import strategies as st
 
 from covmap.linalg import DimensionError, Tolerance, is_psd, kron, operator_norm, unvec, vec
 from covmap.multicopy import apply_multi, from_two_copy, realize_multi_superoperator
+from covmap import norms, operators, twocopy
+from covmap.classify import classify
+from covmap.norms import cb_norm
 from covmap.operators import haar_unitary, matrix_unit, swap_operator
 from covmap.twocopy import (
     GAUGE_DIRECTION,
@@ -350,3 +355,41 @@ def test_recover_reads_at_d3_and_up_and_fits_at_d2(d):
     want, want_residual = (extract if d >= 3 else fit_coefficients)(superop, d)
     assert got.coeffs == want.coeffs
     assert residual == want_residual
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_no_call_keeps_state_on_the_weights(d):
+    # Only the gauge reduction is kept on a weight vector; anything else
+    # stored there would be a result cache across calls.
+    c = CovariantCoefficients(d, (1, 0.5j, -0.3, 0.2, 0, 0))
+    sup = realize_superoperator(c)
+    classify(c)
+    cb_norm(c)
+    apply_map(c, np.eye(d))
+    fit_coefficients(sup, d)
+    if d >= 3:
+        extract(sup, d)
+    assert set(vars(c)) <= {"d", "coeffs", "_gauge_reduced"}
+
+
+@pytest.mark.parametrize(
+    "cache, key",
+    [(norms._pairs, (4,)), (operators._hit_columns, (2, 4)), (operators._hit_columns, (3, 3))],
+)
+def test_index_caches_are_read_only_and_keyed_by_shape(cache, key):
+    assert list(inspect.signature(cache.__wrapped__).parameters) == ["m", "d"][-len(key):]
+    arrays = cache(*key)
+    assert arrays is cache(*key)
+    for a in arrays:
+        assert a.dtype.kind == "i"
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_fit_reads_the_range_of_its_input_once(monkeypatch):
+    reads = []
+    for module in (twocopy, operators):
+        read = module._range_exponent
+        monkeypatch.setattr(module, "_range_exponent", lambda a, read=read: reads.append(a.shape) or read(a))
+    fit_coefficients(realize_superoperator(CovariantCoefficients(3, (1, 2, 3, 4, 5, 6))), 3)
+    assert reads == [(81, 9)]
