@@ -169,17 +169,17 @@ def test_twirl_of_one_entry_near_the_float_limit(tmp_path, capsys, scale, code):
     assert 0 < out["deviation_before"] < np.inf and 0 < out["residual"] < np.inf
 
 
-def _near_the_limit(tmp_path, scale, shape):
+def _near_the_limit(tmp_path, scale, source):
     """A matrix with its largest entry part at scale, written out.
 
-    ``shape`` gives a seeded random complex matrix; a tuple of six weights
-    gives their d = 3 superoperator, which is exactly covariant.
+    ``source`` is the shape of a seeded random complex matrix, or six
+    weights whose d = 3 superoperator, exactly covariant, is the matrix.
     """
-    if len(shape) == 6:
-        a = realize_superoperator(CovariantCoefficients(3, shape))
+    if len(source) == 6:
+        a = realize_superoperator(CovariantCoefficients(3, source))
     else:
         rng = np.random.default_rng(18)
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = rng.standard_normal(source) + 1j * rng.standard_normal(source)
     a *= scale / np.abs(np.stack([a.real, a.imag])).max()
     return write(tmp_path / "a.json", matrix_to_obj(a))
 
@@ -187,7 +187,7 @@ def _near_the_limit(tmp_path, scale, shape):
 # Each answer is finite and printed, or past the double range and refused by
 # the one message: never an inf in the output, a numpy warning or a JSON error.
 @pytest.mark.parametrize(
-    "argv, scale, shape, code",
+    "argv, scale, source, code",
     [
         (["multicopy", "fit", "IN", "--m", "2", "--d", "3"], 1e200, (9, 9), 0),
         (["classify", "IN"], 1e308, (81, 9), 2),
@@ -198,8 +198,8 @@ def _near_the_limit(tmp_path, scale, shape):
     ],
     ids=["multicopy-fit", "classify", "norm", "twirl", "classify-covariant", "classify-covariant-trace"],
 )
-def test_near_the_float_limit_exits_0_or_refuses_by_name(tmp_path, capsys, argv, scale, shape, code):
-    f = _near_the_limit(tmp_path, scale, shape)
+def test_near_the_float_limit_exits_0_or_refuses_by_name(tmp_path, capsys, argv, scale, source, code):
+    f = _near_the_limit(tmp_path, scale, source)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([f if arg == "IN" else arg for arg in argv]) == code
