@@ -8,8 +8,11 @@ weights; it is tagged ``numerical-only`` because it is not a closed
 inequality in the weights.
 
 A public predicate and :func:`classify` call the same helper per verdict,
-and classify evaluates each quantity the verdicts share once.  A reported
-value past the double range raises ValueError.
+and classify evaluates each quantity the verdicts share once.  Weights
+near the top of the double range are scaled by a power of two before any
+verdict quantity is formed.  A witness of is_cp past the range is the
+infinity of its sign; classify refuses any report value past the range
+with ValueError.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .multicopy import _schur_weyl
 from .operators import _shaped
 from .twocopy import (
     CovariantCoefficients,
+    _gauge_gap,
     gauge_reduce,
     virtual_broadcast_coefficients,
 )
@@ -48,34 +52,40 @@ __all__ = [
 
 class _Units(NamedTuple):
     """One call's weights c, times 2**-shift, their gauge reduction g, and in the same
-    units scale = max(1, largest weight magnitude) and thr = tol.bound(scale).
+    units the tolerance tol, scale = max(1, largest weight magnitude) and
+    thr = tol.bound(scale).
 
     Every quantity a verdict forms but _cp's determinant, which scales once
     more, is at most 16 (d + 2) times the largest weight part.  shift is the
     least that keeps that bound inside the double range, so 0 below it, and
     each quantity is its unscaled value times 2**-shift wherever that is finite.
+    Weights with an inf or NaN part are not scaled.
     """
 
     c: CovariantCoefficients
     g: CovariantCoefficients
     shift: int
+    tol: Tolerance
     scale: float
     thr: float
-    tol: Tolerance
 
 
 def _units(c: CovariantCoefficients, tol: Tolerance) -> _Units:
     a = c.as_array()
-    shift = max(0, _range_exponent(a) + (16 * (c.d + 2)).bit_length() - 1023)
+    try:
+        shift = max(0, _range_exponent(a) + (16 * (c.d + 2)).bit_length() - 1023)
+    except ValueError:  # an inf or NaN weight: every verdict reads it unscaled
+        shift = 0
     if shift:
         c = CovariantCoefficients(c.d, tuple(_scaled(a, -shift)))
+        tol = Tolerance(math.ldexp(tol.abs, -shift), tol.rel)
     scale = max(math.ldexp(1.0, -shift), c.max_magnitude())
-    return _Units(c, gauge_reduce(c), shift, scale, _bound(tol, scale, shift), tol)
+    return _Units(c, gauge_reduce(c), shift, tol, scale, tol.bound(scale))
 
 
-def _bound(tol: Tolerance, x, shift: int) -> float:
-    """tol.bound(2**shift x) times 2**-shift: tol.bound(x) at shift 0."""
-    return math.ldexp(tol.abs, -shift) + tol.rel * float(x)
+def _saturated(x: float, e: int) -> float:
+    """2**e x, or the infinity of its sign where that is past the double range."""
+    return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.copysign(math.inf, x)
 
 
 def _self_adjoint(u: _Units) -> tuple[bool, float]:
@@ -179,8 +189,11 @@ class CpResult:
     witness: float
 
 
-def _cp(u: _Units, sa: bool, form) -> CpResult:
-    """is_cp from the units, the self-adjoint verdict and the real normal form."""
+def _cp(u: _Units, sa: bool, form, unscaled) -> CpResult:
+    """is_cp from the units, the self-adjoint verdict and the real normal form.
+
+    unscaled(x, e) takes a witness x in units of 2**-e back to 2**e x.
+    """
     c1, c2, c3, c4, c5, c6 = u.c.coeffs
     if max(abs(c5), abs(c6)) <= u.thr:
         margins = [
@@ -195,15 +208,16 @@ def _cp(u: _Units, sa: bool, form) -> CpResult:
         k = max(0, math.frexp(u.scale)[1] - 511)
         a1, a2, a3 = (math.ldexp(x, -k) for x in (c1.real, c2.real, abs(c3)))
         det = a1 * a2 - a3**2
-        ok = linear >= -u.thr and det >= -_bound(u.tol, math.ldexp(u.scale, -k) ** 2, 2 * (u.shift + k))
-        witness = _scaled(float(linear), u.shift)
+        det_tol = Tolerance(math.ldexp(u.tol.abs, -u.shift - 2 * k), u.tol.rel)
+        ok = linear >= -u.thr and det >= -det_tol.bound(math.ldexp(u.scale, -k) ** 2)
+        witness = unscaled(float(linear), u.shift)
         if det < 0:
-            witness = min(witness, _scaled(det, 2 * (u.shift + k)))
+            witness = min(witness, unscaled(det, 2 * (u.shift + k)))
         return CpResult("yes" if ok else "no", ok, witness)
     spectrum = _choi_spectrum(form, u.c.d)
     witness = float(spectrum.min())
-    ok = sa and witness >= -_bound(u.tol, np.abs(spectrum).max(), u.shift)
-    return CpResult("numerical-only", bool(ok), _scaled(witness, u.shift))
+    ok = sa and witness >= -u.tol.bound(np.abs(spectrum).max())
+    return CpResult("numerical-only", bool(ok), unscaled(witness, u.shift))
 
 
 def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
@@ -213,9 +227,10 @@ def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
     c1 * c2 >= |c3|^2.  With trace terms present the map is CP when it is
     self-adjoint and the smallest Choi eigenvalue (see _choi_spectrum) is
     at least -tol.bound(largest |eigenvalue|); tagged numerical-only.
+    A witness past the double range is the infinity of its sign.
     """
     u = _units(c, tol)
-    return _cp(u, _self_adjoint(u)[0], _real_normal_form(u.g))
+    return _cp(u, _self_adjoint(u)[0], _real_normal_form(u.g), _saturated)
 
 
 def _broadcast(u: _Units) -> tuple[bool, float]:
@@ -306,12 +321,10 @@ def is_classically_consistent(
 
 def _virtual_broadcaster(u: _Units) -> tuple[bool, float]:
     """maps_equal(c, B_vb) and the largest gap between their gauge-reduced weights, in units."""
-    a = u.g.as_array()
-    b = gauge_reduce(virtual_broadcast_coefficients(u.c.d)).as_array()
+    vb = virtual_broadcast_coefficients(u.c.d)
     if u.shift:
-        b = _scaled(b, -u.shift)
-    gap = float(np.abs(a - b).max())
-    return bool(gap <= _bound(u.tol, max(np.abs(a).max(), np.abs(b).max()), u.shift)), gap
+        vb = CovariantCoefficients(u.c.d, tuple(_scaled(vb.as_array(), -u.shift)))
+    return _gauge_gap(u.c, vb, u.tol)
 
 
 def is_virtual_broadcaster(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -369,7 +382,7 @@ def classify(
     sa, violation = _self_adjoint(u)
     form = _real_normal_form(u.g)
     positive, margin = _positive(u, sa, form)
-    cp = _cp(u, sa, form)
+    cp = _cp(u, sa, form, _scaled)
     broadcasting, residual = _broadcast(u)
     virtual_broadcaster, gap = _virtual_broadcaster(u)
     evidence = {

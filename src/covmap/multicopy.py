@@ -131,7 +131,7 @@ def extract_multi(
         )
     superop = _shaped(superop, d, m)
     mc = MultiCopyCoefficients(m, d, _read_weights(superop, m, d))
-    return mc, _residual(superop, mc.lam, m, d)
+    return mc, _residual(superop, mc.lam, m, d, _range_exponent(superop))
 
 
 def covariance_residual_multi(superop, m: int, d: int, samples: int = 20, seed: int = 0) -> float:

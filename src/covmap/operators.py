@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, _range_exponent, _scaled, _top_singular_values, as_matrix, vec
+from .linalg import DimensionError, _scaled, _top_singular_values, as_matrix, vec
 
 __all__ = [
     "Permutation",
@@ -367,15 +367,12 @@ def _apply(lam: np.ndarray, x, m: int, d: int) -> np.ndarray:
     return _support_sums(target, d ** (2 * m), inner).reshape(d**m, d**m)
 
 
-def _residual(superop: np.ndarray, lam: np.ndarray, m: int, d: int, e: int | None = None) -> float:
-    """operator_norm(superop - _realize(lam, m, d)), with the same bits.
+def _residual(superop: np.ndarray, lam: np.ndarray, m: int, d: int, e: int) -> float:
+    """operator_norm(superop - _realize(lam, m, d)), with the same bits; e is _range_exponent(superop).
 
     The difference is superop's copy scaled into range less the scaled realized
     values on the support alone; every other entry is superop's own, as x - 0 is.
-    ``e`` is _range_exponent(superop) when the caller has it already.
     """
-    if e is None:
-        e = _range_exponent(superop)
     difference = _scaled(superop, -e)
     difference.reshape(-1)[_support(m, d)[0]] -= _realized(_scaled(lam, -e), m, d)
     return _scaled(float(_top_singular_values(difference)), e)

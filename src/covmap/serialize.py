@@ -124,26 +124,14 @@ def _unpair(obj) -> complex:
     raise SchemaError(f"expected finite values, got {obj!r}")
 
 
-# Longest list that _pairs reads pair by pair.  The whole-list check costs
-# about seven numpy calls: measured inside main, the six weights of a weight
-# file took 57-80 us that way against 21-34 us pair by pair, and pair by
-# pair stayed faster up to 24 pairs but was slower at 120.
-_PER_PAIR = 32
-
-
 def _pairs(data) -> np.ndarray:
-    """The complex array of a list of [real, imag] pairs.
+    """The complex array of a list of [real, imag] pairs, checked as a whole list.
 
-    A list of at most _PER_PAIR pairs is read pair by pair with ``_unpair``;
-    a longer one is checked as a whole list, which accepts exactly the pairs
-    ``_unpair`` accepts, and if it fails a check it is read again pair by
-    pair, so the error names its first bad pair.
+    It accepts exactly the pairs ``_unpair`` accepts.  A list that fails a
+    check is read again pair by pair, so the error names its first bad pair.
     """
-    if (
-        len(data) > _PER_PAIR
-        and all(issubclass(t, (list, tuple)) for t in set(map(type, data)))
-        and set(map(len, data)) <= {2}
-    ):
+    kinds = set(map(type, data))
+    if all(issubclass(t, (list, tuple)) for t in kinds) and set(map(len, data)) <= {2}:
         flat = list(itertools.chain.from_iterable(data))
         if all(map(_real_type, set(map(type, flat)))):
             with contextlib.suppress(OverflowError):  # an integer beyond the double range

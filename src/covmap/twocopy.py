@@ -143,7 +143,8 @@ def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoe
         raise GaugeAmbiguousError("weights are not unique at d = 2")
     superop = _shaped(superop, d)
     table = _read_weights(superop, 2, d)
-    return CovariantCoefficients(d, table.reshape(-1)[_UNTABLE]), _residual(superop, table, 2, d)
+    residual = _residual(superop, table, 2, d, _range_exponent(superop))
+    return CovariantCoefficients(d, table.reshape(-1)[_UNTABLE]), residual
 
 
 def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
@@ -187,7 +188,12 @@ def maps_equal(
     """Whether two coefficient vectors realize the same map."""
     if a.d != b.d:
         raise DimensionError(f"dimension mismatch {a.d} vs {b.d}")
+    return _gauge_gap(a, b, tol)[0]
+
+
+def _gauge_gap(a: CovariantCoefficients, b: CovariantCoefficients, tol: Tolerance) -> tuple[bool, float]:
+    """maps_equal(a, b, tol) and the largest gap between the gauge-reduced weights, for equal d."""
     da = gauge_reduce(a).as_array()
     db = gauge_reduce(b).as_array()
-    scale = max(np.abs(da).max(), np.abs(db).max())
-    return bool(np.abs(da - db).max() <= tol.bound(scale))
+    gap = np.abs(da - db).max()
+    return bool(gap <= tol.bound(max(np.abs(da).max(), np.abs(db).max()))), float(gap)

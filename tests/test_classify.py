@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmap.classify import (
+    CpResult,
     _choi_spectrum,
     _positivity_margin,
     _real_normal_form,
@@ -533,3 +534,33 @@ def test_every_report_field_is_its_public_predicate(d):
                 "broadcast_residual": float(residual),
                 "virtual_broadcaster_distance": float(np.abs(g.as_array() - vb).max()),
             })
+
+
+def test_is_cp_answers_where_classify_refuses_a_witness_past_the_range():
+    # The determinant c1 c2 - |c3|^2 is -1e400: is_cp gives the witness as
+    # -inf with its verdict, classify refuses the report by name.
+    c = CovariantCoefficients(3, (1e200, -1e200, 0, 0, 0, 0))
+    assert is_cp(c) == CpResult("no", False, -np.inf)
+    with pytest.raises(ValueError, match="^a value overflows the double range$"):
+        classify(c)
+
+
+@pytest.mark.parametrize(
+    "bad, verdicts",
+    [
+        # An inf weight makes every threshold inf, so each tolerance test passes;
+        # a NaN weight fails each test it enters.
+        (np.inf, [True, True, CpResult("yes", True, -0.5), True, True, True, True]),
+        (np.nan, [False, False, CpResult("no", False, -0.5), False, False, False, False]),
+    ],
+    ids=["inf", "nan"],
+)
+def test_non_finite_weights_are_read_unscaled(bad, verdicts):
+    c = CovariantCoefficients(3, (bad, 0.5, -0.3, 0.2, 0, 0))
+    predicates = [is_self_adjoint, is_positive, is_cp, satisfies_broadcast,
+                  is_permutation_invariant, is_classically_consistent, is_virtual_broadcaster]
+    assert [f(c) for f in predicates] == verdicts
+    rep = classify(c)
+    assert [rep.self_adjoint, rep.positive, rep.completely_positive, rep.broadcasting,
+            rep.permutation_invariant, rep.classically_consistent, rep.virtual_broadcaster] == [
+        *verdicts[:2], verdicts[2].status, *verdicts[3:]]

@@ -27,8 +27,7 @@ from covmap.serialize import (
     permutation_to_obj,
     twirl_result_to_obj,
 )
-from covmap import serialize
-from covmap.serialize import _PER_PAIR, _unpair
+from covmap.serialize import _unpair
 from covmap.twirl import twirl
 from covmap.twocopy import CovariantCoefficients, realize_superoperator, virtual_broadcast_coefficients
 
@@ -201,39 +200,6 @@ def test_the_whole_list_reader_accepts_what_unpair_accepts():
     c = coefficients_from_obj({"d": 3, "coeffs": data + [[7, 8]]})
     assert c.coeffs == tuple(_unpair(p) for p in data + [[7, 8]])
     assert all(type(z) is complex for z in c.coeffs)
-
-
-LONG = 2 * (_PER_PAIR // 2 + 4)  # pairs in a list that is read whole
-
-
-@pytest.mark.parametrize("bad", BAD_PAIRS, ids=repr)
-@pytest.mark.parametrize("where", [0, LONG // 2, LONG - 1], ids=["first", "middle", "last"])
-def test_a_long_list_read_whole_names_the_first_bad_pair(bad, where):
-    data = [[0.5, -1]] * LONG
-    data[where] = bad
-    if where < LONG - 1:
-        data[-1] = [float("nan"), 0]
-    with pytest.raises(SchemaError) as refused:
-        matrix_from_obj({"rows": 2, "cols": LONG // 2, "data": data})
-    assert str(refused.value) == _unpair_message(bad)
-
-
-def test_a_long_list_read_whole_has_the_values_of_unpair():
-    data = [[np.float64(0.25), np.float64(-1.5)], [1, -2], (3, 4.5), [-0.0, 0.0], [2**53 + 1, -(2**70) - 1]]
-    data = data * (LONG // len(data) + 1)
-    got = matrix_from_obj({"rows": 1, "cols": len(data), "data": data})
-    assert got.tolist() == [[_unpair(p) for p in data]]
-    assert np.signbit(got[0, 3].real) and not np.signbit(got[0, 3].imag)
-
-
-def test_only_short_lists_are_read_pair_by_pair(monkeypatch):
-    read = []
-    monkeypatch.setattr(serialize, "_unpair", lambda pair, unpair=_unpair: read.append(pair) or unpair(pair))
-    serialize._pairs([[1.0, 2.0]] * _PER_PAIR)
-    assert len(read) == _PER_PAIR
-    read.clear()
-    serialize._pairs([[1.0, 2.0]] * (_PER_PAIR + 1))
-    assert read == []
 
 
 @pytest.mark.parametrize(
