@@ -209,7 +209,7 @@ def _cp(u: _Units, sa: bool, form, unscaled) -> CpResult:
         a1, a2, a3 = (math.ldexp(x, -k) for x in (c1.real, c2.real, abs(c3)))
         det = a1 * a2 - a3**2
         det_tol = Tolerance(math.ldexp(u.tol.abs, -u.shift - 2 * k), u.tol.rel)
-        ok = linear >= -u.thr and det >= -det_tol.bound(math.ldexp(u.scale, -k) ** 2)
+        ok = bool(linear >= -u.thr) and det >= -det_tol.bound(math.ldexp(u.scale, -k) ** 2)
         witness = unscaled(float(linear), u.shift)
         if det < 0:
             witness = min(witness, unscaled(det, 2 * (u.shift + k)))

@@ -24,6 +24,7 @@ import contextlib
 import gc
 import json
 import os
+import stat
 import sys
 from typing import NamedTuple
 
@@ -82,18 +83,32 @@ _OPTIONS = {
 
 
 @contextlib.contextmanager
-def _file(path: str, mode: str = "r"):
-    """The open text file; OSError or a decoding error, deep JSON nesting too, exits 2."""
+def _file(path: str):
+    """Exit 2 naming path on an OSError or a decoding error, deep JSON nesting too, in its body."""
     try:
-        with open(path, mode, encoding="utf-8") as fh:
-            yield fh
+        yield
     except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _read_json(path: str):
-    with _file(path) as fh:
+    with _file(path), open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _write(path: str, text: str) -> None:
+    """Write text over path in place, then cut a regular file's old tail.
+
+    No O_TRUNC: truncating a file to zero frees its blocks before the write
+    allocates them again, several times the cost of overwriting them.  A
+    pipe or device is written without a truncate, and an existing file keeps
+    its mode.
+    """
+    data = text.encode()
+    with _file(path), open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
 
 
 def _load_config() -> dict:
@@ -181,8 +196,7 @@ def _emit(obj, args: argparse.Namespace) -> None:
         _flatten("", obj, lines)
         text = "\n".join(lines) + "\n"
     if args.out:
-        with _file(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 

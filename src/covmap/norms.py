@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, operator_norm
+from .linalg import DEFAULT_TOL, Tolerance, _scaled, as_matrix, operator_norm
 from .operators import _BLOCK, _check_samples, _gaussian_hermitians, _haar_unitaries
 from .twocopy import GAUGE_DIRECTION, CovariantCoefficients
 
@@ -49,7 +49,7 @@ def _trace_free(c: CovariantCoefficients, tol: Tolerance) -> CovariantCoefficien
     """
     c5, c6 = c.coeffs[4], c.coeffs[5]
     trace = abs(c5 + c6) if c.d == 2 else max(abs(c5), abs(c6))
-    if trace > tol.bound(max(1.0, c.max_magnitude())):
+    if trace > tol.bound(max(1.0, *map(abs, c.coeffs))):
         raise TraceTermsError("trace-term weights must vanish for norm analysis")
     if c.d > 2 or c5 == 0:
         return c
@@ -177,7 +177,18 @@ def cb_norm(
     its witness diag(1, e^{i theta}, 1, ..., 1), theta = arccos x, so a spurious
     root cannot raise it.  ``samples`` and ``seed`` are ignored (no draw is
     made); they are accepted because ``perfbench/workloads.py`` passes both.
+
+    Every quantity formed is at most 32 P**2 for the largest weight modulus P,
+    so weights with P >= 2**509 are scaled by 2**-shift below that and the
+    results scaled back; a result past the double range raises ValueError.
     """
+    try:
+        shift = max(0, math.frexp(max(map(abs, c.coeffs)))[1] - 509)
+    except OverflowError:  # a modulus past the double range, so below 2**1025
+        shift = 516
+    if shift:
+        c = CovariantCoefficients(c.d, tuple(_scaled(c.as_array(), -shift)))
+        tol = Tolerance(math.ldexp(tol.abs, -shift), tol.rel)
     c = _trace_free(c, tol)
     m = np.array(corner_coefficients(c))
     n = m / (np.abs(m).max() or 1.0)  # the candidate angles do not depend on scale
@@ -191,8 +202,11 @@ def cb_norm(
     lam[:, 1] = x + 1j * np.sqrt(1 - x * x)
     values = _spectral_norms(c, lam)
     best = int(np.argmax(values))
-    detail = {"corner_magnitudes": np.abs(m).tolist(), "witness_angle": float(np.arccos(x[best]))}
-    return CbNormResult("exact", float(values[best]), "schur-multiplier", detail)
+    magnitudes, value = np.abs(m).tolist(), float(values[best])
+    if shift:
+        magnitudes, value = [_scaled(v, shift) for v in magnitudes], _scaled(value, shift)
+    detail = {"corner_magnitudes": magnitudes, "witness_angle": float(np.arccos(x[best]))}
+    return CbNormResult("exact", value, "schur-multiplier", detail)
 
 
 def corner_norm_bound_check(

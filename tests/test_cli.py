@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -51,11 +53,13 @@ def test_classify_weights_at_the_size_cap(tmp_path, capsys):
 
 
 def test_classify_not_self_adjoint_weights(tmp_path, capsys):
-    # the violation |c4 - conj(c3)| is the binding one, so the verdict must
+    # the violation |c4 - conj(c3)| is the binding one, so each verdict must
     # still come out as a plain bool the JSON encoder accepts
-    f = write(tmp_path / "c.json", coefficients_to_obj(CovariantCoefficients(3, (0, 0, 1, 0, 0, 0))))
-    assert main(["classify", f]) == 0
-    assert json.loads(capsys.readouterr().out)["self_adjoint"] is False
+    for weights in [(0, 0, 1, 0, 0, 0), (1, 1, 2, 3, 0, 0)]:
+        f = write(tmp_path / "c.json", coefficients_to_obj(CovariantCoefficients(3, weights)))
+        assert main(["classify", f]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["self_adjoint"] is False and out["evidence"]["cp_holds"] is False
 
 
 def test_classify_superoperator_input(tmp_path, capsys):
@@ -119,6 +123,23 @@ def test_norm_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["value_kind"] == "exact"
     assert out["value"] == pytest.approx(1.0)
+
+
+# The cb norm of c1 I (x) X + c2 X (x) I with c1, c2 >= 0 is c1 + c2: printed where it
+# fits the double range, else refused by the one message; never a warning or a traceback.
+@pytest.mark.parametrize("c1, c2, code", [(1e200, 0, 0), (1e300, 5e299, 0), (1.5e308 + 1.5e308j, 0, 2),
+                                          (1e308, 1e308, 2)])
+def test_norm_of_large_weights_reports_or_refuses_by_name(tmp_path, capsys, c1, c2, code):
+    f = write(tmp_path / "c.json", coefficients_to_obj(CovariantCoefficients(3, (c1, c2, 0, 0, 0, 0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm", f]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == "covmap: a value overflows the double range\n" and captured.out == ""
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["value"] == pytest.approx(c1 + c2, rel=1e-12)
 
 
 def test_norm_trace_terms_exit_4(tmp_path):
@@ -389,6 +410,72 @@ def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, where):
     assert dest in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _vb_report(tmp_path, capsys, *flags):
+    """A weight file of B_vb at d = 3 and the bytes classify prints for it with flags."""
+    f = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
+    assert main(["classify", f, *flags]) == 0
+    return f, capsys.readouterr().out.encode()
+
+
+def test_out_overwrites_in_place_and_cuts_the_old_tail(tmp_path, capsys):
+    f, text = _vb_report(tmp_path, capsys, "--format", "text")
+    _, report = _vb_report(tmp_path, capsys)
+    assert len(text) > len(report)
+    dest = tmp_path / "report"
+    assert main(["classify", f, "--out", str(dest), "--format", "text"]) == 0
+    assert dest.read_bytes() == text
+    assert main(["classify", f, "--out", str(dest)]) == 0  # shorter: the text tail goes
+    assert dest.read_bytes() == report
+    assert capsys.readouterr().out == ""
+
+
+def test_an_identical_rewrite_still_writes_the_file(tmp_path, capsys):
+    f, report = _vb_report(tmp_path, capsys)
+    dest = tmp_path / "report.json"
+    dest.write_bytes(report)
+    os.utime(dest, ns=(0, 0))
+    assert main(["classify", f, "--out", str(dest)]) == 0
+    assert dest.stat().st_mtime_ns > 0
+    assert dest.read_bytes() == report
+
+
+def test_out_keeps_an_existing_mode_and_opens_write_only_without_truncating(tmp_path, capsys, monkeypatch):
+    # Root may open a mode-0o200 file for reading too, so the flags are checked directly.
+    f, report = _vb_report(tmp_path, capsys)
+    dest = tmp_path / "report.json"
+    dest.write_bytes(b"x" * 4096)
+    dest.chmod(0o640)
+    flags = []
+
+    def recording_open(path, flag, *args, **kwargs):
+        if path == str(dest):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    real_open = os.open
+    monkeypatch.setattr(os, "open", recording_open)
+    assert main(["classify", f, "--out", str(dest)]) == 0
+    assert len(flags) == 1
+    assert flags[0] & os.O_ACCMODE == os.O_WRONLY and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+    assert dest.read_bytes() == report
+    assert stat.S_IMODE(dest.stat().st_mode) == 0o640
+
+
+def test_out_onto_a_device_is_written_without_a_truncate(tmp_path, capsys):
+    f = write(tmp_path / "vb.json", coefficients_to_obj(virtual_broadcast_coefficients(3)))
+    assert main(["classify", f, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_failing_command_leaves_an_existing_out_untouched(tmp_path, capsys):
+    dest = tmp_path / "report.json"
+    dest.write_bytes(b"earlier report")
+    os.utime(dest, ns=(0, 0))
+    assert main([*_exit_argv(tmp_path, 2), "--out", str(dest)]) == 2
+    assert dest.read_bytes() == b"earlier report" and dest.stat().st_mtime_ns == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_config_file_sets_defaults(tmp_path, monkeypatch, capsys):

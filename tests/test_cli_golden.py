@@ -141,3 +141,18 @@ def test_criterion_12_outputs_match_golden_bytes(name, tmp_path, monkeypatch):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["classify", "norm-bracket", "twirl", "multicopy-apply", "multicopy-extract", "multicopy-fit"],
+)
+def test_criterion_12_outputs_over_a_longer_file_leave_the_golden_bytes(name, tmp_path, monkeypatch):
+    # --out is overwritten in place, so the longer file's tail must be cut.
+    monkeypatch.delenv("COVMAP_CONFIG", raising=False)
+    argv = criterion_12_invocations(tmp_path)[name]
+    golden = (GOLDEN / f"{name}.json").read_bytes()
+    out = tmp_path / "out.json"
+    out.write_bytes(b"\xff" * (2 * len(golden) + 4096))
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden

@@ -5,8 +5,8 @@ back by 2**e, so f(2**k F) == 2**k f(F) bit for bit wherever 2**k F is
 exact, as it is when no entry is subnormal, and 2**k f(F) stays inside the
 double range.  Otherwise it returns a finite result or refuses with the
 one overflow message, and it never gives inf, NaN or a warning.  classify
-scales its weights only where a verdict quantity could overflow, with
-the same bits times the power of two.
+and cb_norm scale their weights only where a quantity they form could
+overflow, with the same bits times the power of two.
 """
 
 import functools
@@ -27,6 +27,7 @@ from covmap.multicopy import (
     realize_multi_superoperator,
     schur_weyl_fit,
 )
+from covmap.norms import cb_norm
 from covmap.twirl import covariance_deviation, twirl, twirl_operator
 from covmap.twocopy import CovariantCoefficients, extract, fit_coefficients
 
@@ -162,3 +163,21 @@ def test_classify_keeps_its_bits_where_it_scales_the_weights(d):
                     assert high.evidence[key] == math.ldexp(value, 17), key
                 else:
                     assert repr(high.evidence[key]) == repr(value), key
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_cb_norm_keeps_its_bits_where_it_scales_the_weights(d):
+    # Weight parts of 2**509 and up are scaled down before any corner or image
+    # norm is formed; at 2**480 they are not.  The witness is the same and
+    # every value exactly the power of two apart.
+    rng = np.random.default_rng(190 + d)
+    for _ in range(20):
+        w = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+        w[4:] = (w[4], -w[4]) if d == 2 else 0  # trace free; at d = 2 up to the gauge
+        w *= 0.75 / np.abs(np.stack([w.real, w.imag])).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high = (cb_norm(_weights_at(w, d, k)) for k in (480, 1000))
+        assert high.value == math.ldexp(low.value, 520)
+        assert high.detail["witness_angle"] == low.detail["witness_angle"]
+        assert high.detail["corner_magnitudes"] == [math.ldexp(v, 520) for v in low.detail["corner_magnitudes"]]
