@@ -184,7 +184,7 @@ def cb_norm(
     """
     try:
         shift = max(0, math.frexp(max(map(abs, c.coeffs)))[1] - 509)
-    except OverflowError:  # a modulus past the double range, so below 2**1025
+    except OverflowError:  # a modulus in [2**1024, 2**1025): its exponent is 1025
         shift = 516
     if shift:
         c = CovariantCoefficients(c.d, tuple(_scaled(c.as_array(), -shift)))

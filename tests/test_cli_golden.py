@@ -89,6 +89,7 @@ from covmap.serialize import coefficients_to_obj, dumps, matrix_to_obj, multicop
 from covmap.twocopy import CovariantCoefficients, virtual_broadcast_coefficients
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+FORMS = ["classify", "norm-bracket", "twirl", "multicopy-apply", "multicopy-extract", "multicopy-fit"]
 
 
 def _classical_copy_superoperator(d):
@@ -131,10 +132,7 @@ def criterion_12_invocations(tmp_path):
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["classify", "norm-bracket", "twirl", "multicopy-apply", "multicopy-extract", "multicopy-fit"],
-)
+@pytest.mark.parametrize("name", FORMS)
 def test_criterion_12_outputs_match_golden_bytes(name, tmp_path, monkeypatch):
     monkeypatch.delenv("COVMAP_CONFIG", raising=False)
     argv = criterion_12_invocations(tmp_path)[name]
@@ -143,10 +141,7 @@ def test_criterion_12_outputs_match_golden_bytes(name, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["classify", "norm-bracket", "twirl", "multicopy-apply", "multicopy-extract", "multicopy-fit"],
-)
+@pytest.mark.parametrize("name", FORMS)
 def test_criterion_12_outputs_over_a_longer_file_leave_the_golden_bytes(name, tmp_path, monkeypatch):
     # --out is overwritten in place, so the longer file's tail must be cut.
     monkeypatch.delenv("COVMAP_CONFIG", raising=False)
