@@ -9,10 +9,10 @@ inequality in the weights.
 
 A public predicate and :func:`classify` call the same helper per verdict,
 and classify evaluates each quantity the verdicts share once.  Weights
-near the top of the double range are scaled by a power of two before any
-verdict quantity is formed.  A witness of is_cp past the range is the
-infinity of its sign; classify refuses any report value past the range
-with ValueError.
+outside 2**+-508 are moved into that window by a power of two
+(twocopy._in_window) before any verdict quantity is formed.  A witness of
+is_cp past the range is the infinity of its sign; classify refuses any
+report value past the range with ValueError.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _range_exponent, _scaled, as_matrix, operator_norm
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _saturated, _scaled, as_matrix, operator_norm
 from .multicopy import _schur_weyl
 from .operators import _shaped
 from .twocopy import (
     CovariantCoefficients,
     _gauge_gap,
+    _in_window,
     gauge_reduce,
     virtual_broadcast_coefficients,
 )
@@ -55,11 +56,11 @@ class _Units(NamedTuple):
     units the tolerance tol, scale = max(1, largest weight magnitude) and
     thr = tol.bound(scale).
 
-    Every quantity a verdict forms but _cp's determinant, which scales once
-    more, is at most 16 (d + 2) times the largest weight part.  shift is the
-    least that keeps that bound inside the double range, so 0 below it, and
-    each quantity is its unscaled value times 2**-shift wherever that is finite.
-    Weights with an inf or NaN part are not scaled.
+    shift is the window's (twocopy._in_window): 0 inside 2**+-508, so there
+    every verdict reads the weights as given.  Each quantity a verdict forms,
+    _cp's determinant included, is its unscaled value times 2**-shift (4**-shift
+    for the determinant) wherever that is finite.  Weights with an inf or NaN
+    part are not scaled.
     """
 
     c: CovariantCoefficients
@@ -71,21 +72,9 @@ class _Units(NamedTuple):
 
 
 def _units(c: CovariantCoefficients, tol: Tolerance) -> _Units:
-    a = c.as_array()
-    try:
-        shift = max(0, _range_exponent(a) + (16 * (c.d + 2)).bit_length() - 1023)
-    except ValueError:  # an inf or NaN weight: every verdict reads it unscaled
-        shift = 0
-    if shift:
-        c = CovariantCoefficients(c.d, tuple(_scaled(a, -shift)))
-        tol = Tolerance(math.ldexp(tol.abs, -shift), tol.rel)
+    c, tol, shift = _in_window(c, tol)
     scale = max(math.ldexp(1.0, -shift), c.max_magnitude())
     return _Units(c, gauge_reduce(c), shift, tol, scale, tol.bound(scale))
-
-
-def _saturated(x: float, e: int) -> float:
-    """2**e x, or the infinity of its sign where that is past the double range."""
-    return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.copysign(math.inf, x)
 
 
 def _self_adjoint(u: _Units) -> tuple[bool, float]:
@@ -204,15 +193,11 @@ def _cp(u: _Units, sa: bool, form, unscaled) -> CpResult:
             -abs(c4 - np.conj(c3)),
         ]
         linear = min(margins)  # at most -0.0, so a determinant >= 0 never binds
-        # The determinant in units of 4**-(shift + k): k is 0 unless a square of the scale passes the range.
-        k = max(0, math.frexp(u.scale)[1] - 511)
-        a1, a2, a3 = (math.ldexp(x, -k) for x in (c1.real, c2.real, abs(c3)))
-        det = a1 * a2 - a3**2
-        det_tol = Tolerance(math.ldexp(u.tol.abs, -u.shift - 2 * k), u.tol.rel)
-        ok = bool(linear >= -u.thr) and det >= -det_tol.bound(math.ldexp(u.scale, -k) ** 2)
+        det = c1.real * c2.real - abs(c3) ** 2  # in units of 4**-shift, as is its bound
+        ok = bool(linear >= -u.thr) and det >= -(_saturated(u.tol.abs, -u.shift) + u.tol.rel * u.scale**2)
         witness = unscaled(float(linear), u.shift)
         if det < 0:
-            witness = min(witness, unscaled(det, 2 * (u.shift + k)))
+            witness = min(witness, unscaled(det, 2 * u.shift))
         return CpResult("yes" if ok else "no", ok, witness)
     spectrum = _choi_spectrum(form, u.c.d)
     witness = float(spectrum.min())

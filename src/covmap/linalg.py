@@ -136,6 +136,11 @@ def _scaled(a, e: int):
     return (parts * 2.0**e if -1074 <= e <= 1023 else np.ldexp(parts, e)).view(a.dtype)
 
 
+def _saturated(x: float, e: int) -> float:
+    """2**e x, or the infinity of its sign where that is past the double range."""
+    return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.copysign(math.inf, x)
+
+
 # A matrix whose largest real or imaginary entry part is at least 2**-this has a Gram
 # matrix that loses no leading digits to underflow, and a top eigenvalue of at least 2**(-2 * this).
 _GRAM_EXPONENT = 400

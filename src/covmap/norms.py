@@ -13,6 +13,7 @@ computes exactly.  ``monte_carlo_norm``, ``psi_identity_norm`` and
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, _scaled, as_matrix, operator_norm
 from .operators import _BLOCK, _check_samples, _gaussian_hermitians, _haar_unitaries
-from .twocopy import GAUGE_DIRECTION, CovariantCoefficients
+from .twocopy import GAUGE_DIRECTION, CovariantCoefficients, _in_window
 
 __all__ = [
     "TraceTermsError",
@@ -41,19 +42,33 @@ class TraceTermsError(ValueError):
     """Raised when trace-term weights are present but must vanish."""
 
 
-def _trace_free(c: CovariantCoefficients, tol: Tolerance) -> CovariantCoefficients:
-    """The representative of c without trace terms; TraceTermsError if the map has them.
+def _trace_free(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, int]:
+    """The representative of c without trace terms, times 2**-shift, and shift.
 
-    At d = 2 the gauge moves c5 and c6 oppositely, so only c5 + c6 belongs to
+    shift is the window's (twocopy._in_window); the trace test reads the
+    weights, the tolerance and its floor of 1 in those units.  TraceTermsError
+    if the map has trace terms, ValueError if a weight part is inf or NaN.  At
+    d = 2 the gauge moves c5 and c6 oppositely, so only c5 + c6 belongs to
     the map; the representative is then c + c5 g.  Otherwise c is returned.
     """
+    c, tol, shift = _in_window(c, tol)
+    if not all(map(cmath.isfinite, c.coeffs)):
+        raise ValueError("a value overflows the double range")
     c5, c6 = c.coeffs[4], c.coeffs[5]
     trace = abs(c5 + c6) if c.d == 2 else max(abs(c5), abs(c6))
-    if trace > tol.bound(max(1.0, *map(abs, c.coeffs))):
+    if trace > tol.bound(max(math.ldexp(1.0, -shift), *map(abs, c.coeffs))):
         raise TraceTermsError("trace-term weights must vanish for norm analysis")
     if c.d > 2 or c5 == 0:
-        return c
-    return CovariantCoefficients(2, tuple(c.as_array() + c5 * GAUGE_DIRECTION))
+        return c, shift
+    return CovariantCoefficients(2, tuple(c.as_array() + c5 * GAUGE_DIRECTION)), shift
+
+
+def _corners(c: CovariantCoefficients) -> np.ndarray:
+    """corner_coefficients of c as an array, formed from c as given."""
+    w = c.as_array()
+    if c.d == 2:
+        w = w + w[4] * GAUGE_DIRECTION
+    return _SIGNS @ w[:4]
 
 
 def corner_coefficients(c: CovariantCoefficients) -> tuple[complex, complex, complex, complex]:
@@ -63,12 +78,12 @@ def corner_coefficients(c: CovariantCoefficients) -> tuple[complex, complex, com
     corners: M = [[m1, m2], [m3, m4]] is the map's Schur symbol on the P+-
     blocks.  Trace terms are allowed and ignored.  At d = 2 the weights are
     read from the representative c + c5 g with c5 = 0, so they are a
-    function of the map, not of the representative.
+    function of the map, not of the representative.  They are formed in
+    the window of twocopy._in_window and scaled back; a corner past the
+    double range raises ValueError.
     """
-    w = c.as_array()
-    if c.d == 2:
-        w = w + w[4] * GAUGE_DIRECTION
-    return tuple(_SIGNS @ w[:4])
+    c, _, shift = _in_window(c, DEFAULT_TOL)
+    return tuple(_scaled(_corners(c), shift))
 
 
 def psi_identity_norm(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -77,9 +92,9 @@ def psi_identity_norm(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) ->
     The image of I is (c1+c2) I + (c3+c4) S with eigenvalues
     (c1+c2) +- (c3+c4).
     """
-    c = _trace_free(c, tol)
+    c, shift = _trace_free(c, tol)
     c1, c2, c3, c4, _, _ = c.coeffs
-    return float(max(abs(c1 + c2 + c3 + c4), abs(c1 + c2 - c3 - c4)))
+    return _scaled(float(max(abs(c1 + c2 + c3 + c4), abs(c1 + c2 - c3 - c4))), shift)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,7 +149,7 @@ def monte_carlo_norm(
     Image norms come from the probes' eigenvalues (``_spectral_norms``);
     the probe set is unchanged, drawn 2 * _BLOCK at a time.
     """
-    c = _trace_free(c, tol)
+    c, shift = _trace_free(c, tol)
     _check_samples(samples)
     d = c.d
     best = _spectral_norms(c, np.ones((1, d)))[0]
@@ -145,7 +160,7 @@ def monte_carlo_norm(
         lam = lam[nrm != 0.0] / nrm[nrm != 0.0, None]
         spectra = np.concatenate([np.linalg.eigvals(us), lam])
         best = max(best, _spectral_norms(c, spectra).max())
-    return float(best)
+    return _scaled(float(best), shift)
 
 
 @dataclass(frozen=True)
@@ -178,19 +193,13 @@ def cb_norm(
     root cannot raise it.  ``samples`` and ``seed`` are ignored (no draw is
     made); they are accepted because ``perfbench/workloads.py`` passes both.
 
-    Every quantity formed is at most 32 P**2 for the largest weight modulus P,
-    so weights with P >= 2**509 are scaled by 2**-shift below that and the
-    results scaled back; a result past the double range raises ValueError.
+    The corners and image norms are formed from the weights in the window of
+    twocopy._in_window, where no square passes the double range or, for
+    the largest weights, underflows; the value and corner magnitudes are
+    scaled back, and a result past the double range raises ValueError.
     """
-    try:
-        shift = max(0, math.frexp(max(map(abs, c.coeffs)))[1] - 509)
-    except OverflowError:  # a modulus in [2**1024, 2**1025): its exponent is 1025
-        shift = 516
-    if shift:
-        c = CovariantCoefficients(c.d, tuple(_scaled(c.as_array(), -shift)))
-        tol = Tolerance(math.ldexp(tol.abs, -shift), tol.rel)
-    c = _trace_free(c, tol)
-    m = np.array(corner_coefficients(c))
+    c, shift = _trace_free(c, tol)
+    m = _corners(c)
     n = m / (np.abs(m).max() or 1.0)  # the candidate angles do not depend on scale
     _, cc, b, dd = _SIGNS @ np.abs(n) ** 2 / 4
     k = abs(n[2].conjugate() * n[3] - n[0].conjugate() * n[1]) ** 2 / 4

@@ -27,11 +27,13 @@ solves over the same generator positions.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _range_exponent, _scaled
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _range_exponent, _saturated, _scaled
 from .operators import _apply, _read_weights, _realize, _residual, _scatter, _shaped, _span
 from .operators import _span_fit
 
@@ -90,10 +92,32 @@ class CovariantCoefficients:
     def _gauge_reduced(self) -> CovariantCoefficients:
         if self.d >= 3:
             return self
-        arr = self.as_array()
+        c, _, shift = _in_window(self, DEFAULT_TOL)  # reduced in the window, then scaled back
+        arr = c.as_array()
         overlap = np.vdot(GAUGE_DIRECTION, arr)
         arr = arr - (overlap / 6.0) * GAUGE_DIRECTION
-        return CovariantCoefficients(self.d, tuple(arr))
+        return CovariantCoefficients(self.d, tuple(_scaled(arr, shift) if shift else arr))
+
+
+def _in_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, Tolerance, int]:
+    """c and tol.abs times 2**-shift, and shift: the one range rule for two-copy weights.
+
+    With e the frexp exponent of the largest real or imaginary weight part,
+    shift = max(0, e - 508) + min(0, max(e + 508, -508)).  Inside 2**+-508
+    it is 0 and c, tol come back as given; otherwise the weights move to the
+    nearer edge of that window, upward by at most 2**508.  So every square
+    of a scaled weight, and of any constant up to 2**508, stays below
+    2**1022, and the power of two is exact wherever no weight is subnormal.
+    Weights with an inf or NaN part are not scaled.  A scaled absolute
+    tolerance past the double range is the largest float.
+    """
+    parts = [abs(x) for z in c.coeffs for x in (z.real, z.imag)]
+    e = math.frexp(max(parts))[1] if all(map(math.isfinite, parts)) else 0
+    shift = max(0, e - 508) + min(0, max(e + 508, -508))
+    if shift:
+        tol = Tolerance(min(_saturated(tol.abs, -shift), sys.float_info.max), tol.rel)
+        c = CovariantCoefficients(c.d, tuple(_scaled(c.as_array(), -shift)))
+    return c, tol, shift
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,7 +202,10 @@ def _recover(superop, d: int, tol: Tolerance) -> tuple[CovariantCoefficients, fl
 
 
 def gauge_reduce(c: CovariantCoefficients) -> CovariantCoefficients:
-    """Canonical representative, kept on the vector: unchanged for d >= 3, min-norm at d = 2."""
+    """Canonical representative, kept on the vector: unchanged for d >= 3, min-norm at d = 2.
+
+    At d = 2 the projection is formed in the window of _in_window and scaled back.
+    """
     return c._gauge_reduced
 
 

@@ -142,6 +142,25 @@ def test_norm_of_large_weights_reports_or_refuses_by_name(tmp_path, capsys, c1, 
         assert json.loads(captured.out)["value"] == pytest.approx(c1 + c2, rel=1e-12)
 
 
+def test_classify_of_tiny_weights_at_zero_tolerance(tmp_path, capsys):
+    # c1 c2 - |c3|^2 = -3e-400 < 0, so the map is not CP, although the unscaled
+    # determinant underflows to 0.
+    c = CovariantCoefficients(3, (1e-200, 1e-200, 2e-200, 2e-200, 0, 0))
+    f = write(tmp_path / "c.json", coefficients_to_obj(c))
+    assert main(["classify", f, "--tol-abs", "0", "--tol-rel", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["positive"] is False and out["completely_positive"] == "no"
+
+
+def test_norm_of_tiny_weights_keeps_its_pair_terms(tmp_path, capsys):
+    # 4.0311... times the scale, as at scale 1; unscaled, the pair terms underflow
+    # and only the diagonal term 2.0616e-200 remains.
+    c = CovariantCoefficients(3, tuple(1e-200 * np.array([1, -1, 0.5j, 2, 0, 0])))
+    f = write(tmp_path / "c.json", coefficients_to_obj(c))
+    assert main(["norm", f]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 4.0311288741492746e-200
+
+
 def test_norm_trace_terms_exit_4(tmp_path):
     c = CovariantCoefficients(3, (1, 1, 0, 0, 0.5, 0))
     f = write(tmp_path / "c.json", coefficients_to_obj(c))

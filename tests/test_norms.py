@@ -354,7 +354,8 @@ def test_min_norm_representative_at_d2_is_analysed():
 def test_trace_free_input_is_returned_unchanged():
     for d, weights in ((2, (1, 0.5, 0.2, 0.1, 0, 1e-14)), (3, (1, 2, 3, 4, 0, 0))):
         c = CovariantCoefficients(d, weights)
-        assert norms._trace_free(c, Tolerance()) is c
+        got, shift = norms._trace_free(c, Tolerance())
+        assert got is c and shift == 0
 
 
 def test_trace_terms_rejected_at_d2_only_on_the_gauge_invariant_sum():
@@ -363,7 +364,7 @@ def test_trace_terms_rejected_at_d2_only_on_the_gauge_invariant_sum():
         cb_norm(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, 0.25)))
     with pytest.raises(TraceTermsError):
         psi_identity_norm(CovariantCoefficients(2, (1, 1, 0, 0, 0, 1e-6)))
-    c = norms._trace_free(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, -0.25)), Tolerance())
+    c, _ = norms._trace_free(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, -0.25)), Tolerance())
     assert c.coeffs == (1.25, 1.25, -0.25, -0.25, 0, 0)
 
 
