@@ -1,7 +1,7 @@
 """Toolkit for linear maps covariant under simultaneous unitary conjugation.
 
 Covers the two-copy canonical form (six generators), structural
-classification, cb-norm analysis for the trace-free family, Monte-Carlo
+classification, the exact cb norm of the trace-free family, Monte-Carlo
 twirling, and the m-copy generalization built on slot permutations.
 """
 
@@ -54,9 +54,6 @@ from .norms import (
     TraceTermsError,
     cb_norm,
     corner_coefficients,
-    corner_norm_bound_check,
-    monte_carlo_norm,
-    psi_identity_norm,
 )
 from .operators import (
     Permutation,

@@ -30,7 +30,6 @@ from .twocopy import (
     CovariantCoefficients,
     _gauge_gap,
     _in_window,
-    gauge_reduce,
     virtual_broadcast_coefficients,
 )
 
@@ -74,7 +73,7 @@ class _Units(NamedTuple):
 def _units(c: CovariantCoefficients, tol: Tolerance) -> _Units:
     c, tol, shift = _in_window(c, tol)
     scale = max(math.ldexp(1.0, -shift), c.max_magnitude())
-    return _Units(c, gauge_reduce(c), shift, tol, scale, tol.bound(scale))
+    return _Units(c, c._gauge_reduced, shift, tol, scale, tol.bound(scale))
 
 
 def _self_adjoint(u: _Units) -> tuple[bool, float]:
@@ -309,7 +308,7 @@ def _virtual_broadcaster(u: _Units) -> tuple[bool, float]:
     vb = virtual_broadcast_coefficients(u.c.d)
     if u.shift:
         vb = CovariantCoefficients(u.c.d, tuple(_scaled(vb.as_array(), -u.shift)))
-    return _gauge_gap(u.c, vb, u.tol)
+    return _gauge_gap(u.g, vb._gauge_reduced, u.tol)
 
 
 def is_virtual_broadcaster(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:

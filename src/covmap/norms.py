@@ -7,8 +7,7 @@ Schur multiplier's cb norm equals its norm (Haagerup; Paulsen, Completely
 Bounded Maps and Operator Algebras, CUP 2002), and every 2 x 2 unitary is a
 real rotation R_phi between two diagonal unitaries, which commute with the
 multiplier.  So ||Phi||_cb = max_phi sigma_max(M o R_phi), which ``cb_norm``
-computes exactly.  ``monte_carlo_norm``, ``psi_identity_norm`` and
-``corner_norm_bound_check`` stay public as independent reference checks.
+computes exactly.
 """
 
 from __future__ import annotations
@@ -20,18 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _scaled, as_matrix, operator_norm
-from .operators import _BLOCK, _check_samples, _gaussian_hermitians, _haar_unitaries
+from .linalg import DEFAULT_TOL, Tolerance, _scaled
 from .twocopy import GAUGE_DIRECTION, CovariantCoefficients, _in_window
 
 __all__ = [
     "TraceTermsError",
     "CbNormResult",
     "corner_coefficients",
-    "psi_identity_norm",
-    "monte_carlo_norm",
     "cb_norm",
-    "corner_norm_bound_check",
 ]
 
 # _SIGNS @ (c1, c2, c3, c4) = (m1, m2, m3, m4); _SIGNS @ |m|^2 / 4 = (A, C, B, D) of cb_norm.
@@ -40,6 +35,14 @@ _SIGNS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]]
 
 class TraceTermsError(ValueError):
     """Raised when trace-term weights are present but must vanish."""
+
+
+def _finite_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, Tolerance, int]:
+    """twocopy._in_window(c, tol); ValueError if a weight part is inf or NaN."""
+    c, tol, shift = _in_window(c, tol)
+    if not all(map(cmath.isfinite, c.coeffs)):
+        raise ValueError("a value overflows the double range")
+    return c, tol, shift
 
 
 def _trace_free(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, int]:
@@ -51,9 +54,7 @@ def _trace_free(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoef
     d = 2 the gauge moves c5 and c6 oppositely, so only c5 + c6 belongs to
     the map; the representative is then c + c5 g.  Otherwise c is returned.
     """
-    c, tol, shift = _in_window(c, tol)
-    if not all(map(cmath.isfinite, c.coeffs)):
-        raise ValueError("a value overflows the double range")
+    c, tol, shift = _finite_window(c, tol)
     c5, c6 = c.coeffs[4], c.coeffs[5]
     trace = abs(c5 + c6) if c.d == 2 else max(abs(c5), abs(c6))
     if trace > tol.bound(max(math.ldexp(1.0, -shift), *map(abs, c.coeffs))):
@@ -79,22 +80,11 @@ def corner_coefficients(c: CovariantCoefficients) -> tuple[complex, complex, com
     blocks.  Trace terms are allowed and ignored.  At d = 2 the weights are
     read from the representative c + c5 g with c5 = 0, so they are a
     function of the map, not of the representative.  They are formed in
-    the window of twocopy._in_window and scaled back; a corner past the
-    double range raises ValueError.
+    the window of twocopy._in_window and scaled back; a weight part that is
+    inf or NaN, or a corner past the double range, raises ValueError.
     """
-    c, _, shift = _in_window(c, DEFAULT_TOL)
+    c, _, shift = _finite_window(c, DEFAULT_TOL)
     return tuple(_scaled(_corners(c), shift))
-
-
-def psi_identity_norm(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Operator norm of the image of the identity, in closed form.
-
-    The image of I is (c1+c2) I + (c3+c4) S with eigenvalues
-    (c1+c2) +- (c3+c4).
-    """
-    c, shift = _trace_free(c, tol)
-    c1, c2, c3, c4, _, _ = c.coeffs
-    return _scaled(float(max(abs(c1 + c2 + c3 + c4), abs(c1 + c2 - c3 - c4))), shift)
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,40 +117,6 @@ def _spectral_norms(c: CovariantCoefficients, lam: np.ndarray) -> np.ndarray:
     q = np.abs(m11.conj() * m12 + m21.conj() * m22)
     pairs = np.sqrt((p + r) / 2 + np.hypot((p - r) / 2, q)).max(axis=1)
     return np.maximum(abs(c1 + c2 + c3 + c4) * np.abs(lam).max(axis=1), pairs)
-
-
-def _probe_stacks(d: int, seed: int, ks: range) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized probes for the indices ks, which start at an odd k.
-
-    Returns the stacked haar_unitary(d, seed, k) for odd k and the stacked
-    gaussian_hermitian(d, substream(seed, k, stream=1)) for even k.
-    """
-    return _haar_unitaries(d, seed, ks[::2]), _gaussian_hermitians(d, seed, ks[1::2])
-
-
-def monte_carlo_norm(
-    c: CovariantCoefficients, samples: int = 500, seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Lower bound on the map norm: max image norm over unit-norm probes.
-
-    The identity is always probed first, then Haar unitaries alternate
-    with normalized Gaussian Hermitian samples.  Deterministic per seed.
-    Image norms come from the probes' eigenvalues (``_spectral_norms``);
-    the probe set is unchanged, drawn 2 * _BLOCK at a time.
-    """
-    c, shift = _trace_free(c, tol)
-    _check_samples(samples)
-    d = c.d
-    best = _spectral_norms(c, np.ones((1, d)))[0]
-    for start in range(1, samples, 2 * _BLOCK):  # Haar at odd k, Gaussian at even k
-        us, hs = _probe_stacks(d, seed, range(start, min(start + 2 * _BLOCK, samples)))
-        lam = np.linalg.eigvalsh(hs)
-        nrm = np.abs(lam).max(axis=1)  # the operator norm; a zero probe is skipped
-        lam = lam[nrm != 0.0] / nrm[nrm != 0.0, None]
-        spectra = np.concatenate([np.linalg.eigvals(us), lam])
-        best = max(best, _spectral_norms(c, spectra).max())
-    return _scaled(float(best), shift)
 
 
 @dataclass(frozen=True)
@@ -217,29 +173,3 @@ def cb_norm(
     detail = {"corner_magnitudes": magnitudes, "witness_angle": float(np.arccos(x[best]))}
     return CbNormResult("exact", value, "schur-multiplier", detail)
 
-
-def corner_norm_bound_check(
-    p, a, mu, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """Verify the corner-weights norm bound on concrete input.
-
-    For an orthogonal projector P, weights (m1, m2, m3, m4) with
-    m1*m4 = m2*m3 and any A, the operator
-    m1 PAP + m2 PAQ + m3 QAP + m4 QAQ (Q = 1 - P) has norm at most
-    max|m_k| * ||A||.  Raises if P is not a projector or the determinant
-    condition fails; returns whether the bound holds within tolerance.
-    """
-    p = as_matrix(p)
-    a = as_matrix(a)
-    if p.shape != a.shape or p.shape[0] != p.shape[1]:
-        raise ValueError("projector and operator must be square with equal shape")
-    if operator_norm(p - p.conj().T) > tol.bound(1.0) or operator_norm(p @ p - p) > tol.bound(1.0):
-        raise ValueError("p is not an orthogonal projector")
-    m1, m2, m3, m4 = (complex(z) for z in mu)
-    mags = [abs(m1), abs(m2), abs(m3), abs(m4)]
-    if abs(m1 * m4 - m2 * m3) > tol.bound(max(1.0, max(mags) ** 2)):
-        raise ValueError("corner weights do not satisfy m1*m4 = m2*m3")
-    q = np.eye(p.shape[0], dtype=np.complex128) - p
-    combo = m1 * (p @ a @ p) + m2 * (p @ a @ q) + m3 * (q @ a @ p) + m4 * (q @ a @ q)
-    bound = max(mags) * operator_norm(a)
-    return bool(operator_norm(combo) <= bound + tol.bound(max(1.0, bound)))

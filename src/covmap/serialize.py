@@ -240,16 +240,6 @@ def permutation_from_obj(obj) -> Permutation:
     return _schema_checked(lambda: Permutation(tuple(image)))
 
 
-def _evidence_obj(evidence: dict) -> dict:
-    out = {}
-    for key, value in evidence.items():
-        if value is None or isinstance(value, (bool, str)):
-            out[key] = value
-        else:
-            out[key] = float(value)
-    return out
-
-
 def classification_report_to_obj(report: ClassificationReport) -> dict:
     return {
         "d": report.d,
@@ -261,7 +251,7 @@ def classification_report_to_obj(report: ClassificationReport) -> dict:
         "permutation_invariant": report.permutation_invariant,
         "classically_consistent": report.classically_consistent,
         "virtual_broadcaster": report.virtual_broadcaster,
-        "evidence": _evidence_obj(report.evidence),
+        "evidence": dict(report.evidence),
     }
 
 

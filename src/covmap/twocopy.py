@@ -90,13 +90,12 @@ class CovariantCoefficients:
 
     @functools.cached_property
     def _gauge_reduced(self) -> CovariantCoefficients:
+        """At d = 2 the projection orthogonal to g, formed from the weights as given; self otherwise."""
         if self.d >= 3:
             return self
-        c, _, shift = _in_window(self, DEFAULT_TOL)  # reduced in the window, then scaled back
-        arr = c.as_array()
+        arr = self.as_array()
         overlap = np.vdot(GAUGE_DIRECTION, arr)
-        arr = arr - (overlap / 6.0) * GAUGE_DIRECTION
-        return CovariantCoefficients(self.d, tuple(_scaled(arr, shift) if shift else arr))
+        return CovariantCoefficients(self.d, tuple(arr - (overlap / 6.0) * GAUGE_DIRECTION))
 
 
 def _in_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, Tolerance, int]:
@@ -206,7 +205,11 @@ def gauge_reduce(c: CovariantCoefficients) -> CovariantCoefficients:
 
     At d = 2 the projection is formed in the window of _in_window and scaled back.
     """
-    return c._gauge_reduced
+    if c.d >= 3:
+        return c
+    c, _, shift = _in_window(c, DEFAULT_TOL)
+    g = c._gauge_reduced
+    return CovariantCoefficients(2, tuple(_scaled(g.as_array(), shift))) if shift else g
 
 
 def maps_equal(
@@ -215,12 +218,12 @@ def maps_equal(
     """Whether two coefficient vectors realize the same map."""
     if a.d != b.d:
         raise DimensionError(f"dimension mismatch {a.d} vs {b.d}")
-    return _gauge_gap(a, b, tol)[0]
+    return _gauge_gap(gauge_reduce(a), gauge_reduce(b), tol)[0]
 
 
 def _gauge_gap(a: CovariantCoefficients, b: CovariantCoefficients, tol: Tolerance) -> tuple[bool, float]:
-    """maps_equal(a, b, tol) and the largest gap between the gauge-reduced weights, for equal d."""
-    da = gauge_reduce(a).as_array()
-    db = gauge_reduce(b).as_array()
+    """Whether gauge-reduced weights a and b of equal d agree at tol, and their largest gap."""
+    da = a.as_array()
+    db = b.as_array()
     gap = np.abs(da - db).max()
     return bool(gap <= tol.bound(max(np.abs(da).max(), np.abs(db).max()))), float(gap)

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import monte_carlo_norm
 from covmap.classify import (
     commutant_fit,
     is_cp,
@@ -27,7 +28,7 @@ from covmap.multicopy import (
     realize_multi_superoperator,
     schur_weyl_fit,
 )
-from covmap.norms import cb_norm, corner_coefficients, monte_carlo_norm, psi_identity_norm
+from covmap.norms import cb_norm, corner_coefficients
 from covmap.operators import haar_unitary, matrix_unit, permutation_operator, swap_operator
 from covmap.serialize import coefficients_to_obj, dumps, matrix_to_obj, multicopy_to_obj
 from covmap.twirl import covariance_deviation, twirl, twirl_operator
@@ -267,7 +268,7 @@ def test_criterion_07_cb_norm_closed_forms():
         c = CovariantCoefficients(3, (mu1, mu1, mu2, mu2, 0, 0))
         res = cb_norm(c)
         formula = max(2 * abs(mu1 + mu2), 2 * abs(mu1 - mu2))
-        psi = psi_identity_norm(c)
+        psi = operator_norm(apply_map(c, np.eye(3)))
         if res.value_kind != "exact":
             failures.append(f"invariant sample {k}: kind {res.value_kind}")
         elif abs(res.value - psi) >= 1e-10 or abs(res.value - formula) >= 1e-10:
@@ -286,7 +287,7 @@ def test_criterion_07_cb_norm_closed_forms():
             continue
         found += 1
         res = cb_norm(c, samples=500, seed=found)
-        psi = psi_identity_norm(c)
+        psi = operator_norm(apply_map(c, np.eye(3)))
         if res.value_kind != "exact" or abs(res.value - psi) >= 1e-10:
             failures.append(f"variety sample {found}: kind {res.value_kind} value {res.value} psi {psi}")
             continue

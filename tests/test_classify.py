@@ -448,12 +448,9 @@ def test_classify_report_is_bit_identical_with_a_reduction_per_call(d, monkeypat
     vectors = _report_vectors(d, np.random.default_rng(40 + d))
     tols = (DEFAULT_TOL, TIGHT)
     shared = [repr(classify(c, tol)) for c in vectors for tol in tols]
-
-    def fresh(c):
-        return CovariantCoefficients(c.d, c.coeffs)._gauge_reduced
-
-    for module in (twocopy, importlib.import_module("covmap.classify")):
-        monkeypatch.setattr(module, "gauge_reduce", fresh)
+    reduce = CovariantCoefficients.__dict__["_gauge_reduced"].func
+    fresh = property(lambda c: reduce(CovariantCoefficients(c.d, c.coeffs)))
+    monkeypatch.setattr(CovariantCoefficients, "_gauge_reduced", fresh)
     assert [repr(classify(c, tol)) for c in vectors for tol in tols] == shared
 
 
@@ -462,12 +459,33 @@ def test_classify_reduces_the_weights_once(monkeypatch):
     reduced = []
     reduce = prop.func
     monkeypatch.setattr(prop, "func", lambda c: reduced.append(c) or reduce(c))
+    windowed = []  # every call of the window, from classify or from the gauge reduction
+    window = twocopy._in_window
+    for module in (twocopy, importlib.import_module("covmap.classify")):
+        monkeypatch.setattr(module, "_in_window", lambda c, tol: windowed.append(c) or window(c, tol))
     gauge_reduce(virtual_broadcast_coefficients(2))  # kept for the process
     c = CovariantCoefficients(2, (1, 2, 0.3, 0.3j, 0.1, -0.2))
     reduced.clear()
+    windowed.clear()
     classify(c)
     assert len(reduced) == 1 and reduced[0] is c
+    assert len(windowed) == 1 and windowed[0] is c
     assert gauge_reduce(c) is gauge_reduce(c)
+
+
+def test_classify_evidence_values_are_floats_bools_or_none():
+    # The JSON writer takes the evidence as it is, with no conversion.
+    rng = np.random.default_rng(46)
+    for d in (2, 3, 5):
+        for c in _report_vectors(d, rng)[:32]:
+            for k in (-600, 0, 600):
+                scaled = CovariantCoefficients(d, tuple(np.ldexp(1.0, k) * c.as_array()))
+                try:
+                    report = classify(scaled)
+                except ValueError as exc:  # a determinant witness past the range
+                    assert str(exc) == "a value overflows the double range"
+                    continue
+                assert all(type(v) in (float, bool, type(None)) for v in report.evidence.values())
 
 
 def test_classify_cp_tag_reflects_trace_terms():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from _oracles import gaussian_hermitians
 from covmap.linalg import DimensionError, hermitian_eigenvalues, kron, operator_norm
 from covmap.operators import (
     _BLOCK,
     Permutation,
-    _gaussian_hermitians,
     _haar_unitaries,
     _normals,
     gaussian_hermitian,
@@ -217,8 +217,9 @@ def test_substream_key_is_seed_then_stream_and_index(seed, stream, index):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_stacked_gaussian_hermitians_are_bit_equal_to_per_index_draws(d):
+    # The stacked draw of the norm tests' probes, from _normals on stream 1.
     indices = [0, 7, _BLOCK + 2, 4]
-    stacked = _gaussian_hermitians(d, 21, indices)
+    stacked = gaussian_hermitians(d, 21, indices)
     per_index = [gaussian_hermitian(d, substream(21, k, stream=1)) for k in indices]
     assert stacked.tobytes() == np.stack(per_index).tobytes()
 

@@ -5,8 +5,8 @@ back by 2**e, so f(2**k F) == 2**k f(F) bit for bit wherever 2**k F is
 exact, as it is when no entry is subnormal, and 2**k f(F) stays inside the
 double range.  Otherwise it returns a finite result or refuses with the
 one overflow message, and it never gives inf, NaN or a warning.  The
-two-copy weights of classify, gauge_reduce, corner_coefficients and the
-weight norms are read through one window (twocopy._in_window): as given
+two-copy weights of classify, gauge_reduce, corner_coefficients and
+cb_norm are read through one window (twocopy._in_window): as given
 inside 2**+-508, moved to its nearer edge by a power of two outside it.
 """
 
@@ -28,7 +28,7 @@ from covmap.multicopy import (
     realize_multi_superoperator,
     schur_weyl_fit,
 )
-from covmap.norms import _SIGNS, cb_norm, corner_coefficients, monte_carlo_norm, psi_identity_norm
+from covmap.norms import _SIGNS, cb_norm, corner_coefficients
 from covmap.twirl import covariance_deviation, twirl, twirl_operator
 from covmap.twocopy import GAUGE_DIRECTION, CovariantCoefficients, extract, fit_coefficients, gauge_reduce
 
@@ -79,18 +79,13 @@ KERNELS = {
     "frobenius_norm": (frobenius_norm, lambda: _random((9, 4), 12)),
     "cb_norm-d2": (lambda f: _cb(f, 2), lambda: _trace_free(2, 13)),
     "cb_norm-d3": (lambda f: _cb(f, 3), lambda: _trace_free(3, 14)),
-    "psi_identity_norm": (lambda f: psi_identity_norm(CovariantCoefficients(3, tuple(f))), lambda: _trace_free(3, 15)),
-    "monte_carlo_norm": (
-        lambda f: monte_carlo_norm(CovariantCoefficients(4, tuple(f)), samples=6, seed=16),
-        lambda: _trace_free(4, 16),
-    ),
 }
 
 
-# The weight kernels read their weights through twocopy._in_window, which
+# cb_norm reads its weights through twocopy._in_window, which
 # moves them up by at most 2**508: weights peaking below 2**-1016 keep
 # subnormal squares there, so their bits are not promised.
-WINDOWED = {"cb_norm-d2", "cb_norm-d3", "psi_identity_norm", "monte_carlo_norm"}
+WINDOWED = {"cb_norm-d2", "cb_norm-d3"}
 
 
 def _below_the_window(a):
@@ -266,6 +261,24 @@ def test_corner_coefficients_are_formed_in_the_window():
                 assert got.tobytes() == _shifted(plain, k).tobytes(), k
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (math.inf, 0.5, -math.inf, 0, 0, 0),
+        (1, complex(0, -math.inf), 0, 0, 0, 0),
+        (math.nan, 0, 0, 0, 0, 0),
+        (1, 0, complex(0.5, math.nan), 0, 0, 0),
+    ],
+)
+def test_corner_coefficients_refuse_inf_or_nan_weights(weights, d):
+    # inf - inf in the corner sums would give NaN corners and a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=OVERFLOW):
+            corner_coefficients(CovariantCoefficients(d, weights))
+
+
 @pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-300])
 def test_cb_norm_of_tiny_weights_keeps_its_pair_terms(s):
     # Unscaled, the squares of the pair terms are subnormal or zero, and at
@@ -274,10 +287,12 @@ def test_cb_norm_of_tiny_weights_keeps_its_pair_terms(s):
     assert cb_norm(c).value == pytest.approx(4.031128874149275 * s, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("norm", [psi_identity_norm, monte_carlo_norm])
-def test_weight_norms_report_large_weights_or_refuse_them_by_name(norm):
+@pytest.mark.parametrize("d", [2, 3], ids=["cb_norm-d2", "cb_norm-d3"])
+def test_weight_norms_report_large_weights_or_refuse_them_by_name(d):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=OVERFLOW):
-            norm(CovariantCoefficients(3, (1.5e308 + 1.5e308j, 0, 0, 0, 0, 0)))
-        assert norm(CovariantCoefficients(3, (1e200, 0.5e200, 0, 0, 0, 0))) == pytest.approx(1.5e200, rel=1e-12, abs=0)
+            cb_norm(CovariantCoefficients(d, (1.5e308 + 1.5e308j, 0, 0, 0, 0, 0)))
+        plain = cb_norm(CovariantCoefficients(d, (1, 0.5, 0, 0, 0, 0))).value
+        large = cb_norm(CovariantCoefficients(d, (1e200, 0.5e200, 0, 0, 0, 0))).value
+    assert large == pytest.approx(1e200 * plain, rel=1e-12, abs=0)

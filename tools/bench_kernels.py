@@ -24,8 +24,9 @@ command line meets: ``covmap.cli._read_json`` of a written file,
 ``dumps`` of its object; and one ``main`` call on a weight file, where
 argument parsing is a large share of the job.
 Last, the Tier-1 test command (TIER1) runs once in a subprocess from the
-checkout root, and its wall time and summary line are recorded, as is
-the line count of ``src/covmap``, in total and per module.  The
+checkout root, and its wall time and summary line are recorded, as are
+the line and code-line counts of ``src/covmap``, in total and per module
+(code lines leave out blank, comment-only and docstring lines).  The
 file opens with an environment stamp (numpy, BLAS, thread variables, CPU
 count).  The gated end-to-end benchmark is ``perfbench/``; this script is
 not part of it and changes nothing there.
@@ -34,6 +35,8 @@ not part of it and changes nothing there.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import math
 import os
@@ -42,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -226,13 +230,32 @@ def tier1() -> dict:
     }
 
 
+def code_lines(source: str) -> int:
+    """Lines of Python source that hold code: not blank, not a comment alone, not in a docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and body:
+            first = body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skip:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def source_lines() -> dict:
-    """Line count of each module of src/covmap, as wc -l counts it, and their total."""
-    modules = {
-        path.name: path.read_bytes().count(b"\n")
-        for path in sorted(Path(ROOT, "src", "covmap").glob("*.py"))
-    }
-    return {"total": sum(modules.values()), "modules": modules}
+    """Line and code-line counts of each module of src/covmap, and their totals.
+
+    Lines are counted as wc -l counts them, code lines by ``code_lines``.
+    """
+    paths = sorted(Path(ROOT, "src", "covmap").glob("*.py"))
+    modules = {path.name: path.read_bytes().count(b"\n") for path in paths}
+    code = {path.name: code_lines(path.read_text()) for path in paths}
+    return {"total": sum(modules.values()), "modules": modules, "code_total": sum(code.values()), "code": code}
 
 
 def main(argv=None) -> int:
@@ -257,7 +280,7 @@ def main(argv=None) -> int:
     tests = tier1()
     print(f"tier1 {tests['summary']} (wall {tests['wall_s']} s)", file=sys.stderr)
     lines = source_lines()
-    print(f"src/covmap {lines['total']} lines", file=sys.stderr)
+    print(f"src/covmap {lines['total']} lines, {lines['code_total']} code lines", file=sys.stderr)
     record = {
         "environment": stamp(),
         "repeat": REPEAT,
