@@ -29,6 +29,7 @@ from .operators import _shaped
 from .twocopy import (
     CovariantCoefficients,
     _gauge_gap,
+    _gauge_reduced,
     _in_window,
     virtual_broadcast_coefficients,
 )
@@ -71,9 +72,8 @@ class _Units(NamedTuple):
 
 
 def _units(c: CovariantCoefficients, tol: Tolerance) -> _Units:
-    c, tol, shift = _in_window(c, tol)
-    scale = max(math.ldexp(1.0, -shift), c.max_magnitude())
-    return _Units(c, c._gauge_reduced, shift, tol, scale, tol.bound(scale))
+    c, tol, shift, scale = _in_window(c, tol)
+    return _Units(c, _gauge_reduced(c), shift, tol, scale, tol.bound(scale))
 
 
 def _self_adjoint(u: _Units) -> tuple[bool, float]:
@@ -303,12 +303,20 @@ def is_classically_consistent(
     return _classically_consistent(_units(c, tol))
 
 
+# B_vb gauge-reduced at d = 2; at d >= 3 the reduction leaves it as it is.
+_REDUCED_BROADCASTER_D2 = _gauge_reduced(virtual_broadcast_coefficients(2))
+
+
 def _virtual_broadcaster(u: _Units) -> tuple[bool, float]:
-    """maps_equal(c, B_vb) and the largest gap between their gauge-reduced weights, in units."""
-    vb = virtual_broadcast_coefficients(u.c.d)
+    """maps_equal(c, B_vb) and the largest gap between their gauge-reduced weights, in units.
+
+    B_vb's reduction times 2**-shift is the reduction of B_vb times 2**-shift,
+    bit for bit: inside the window its weights stay normal.
+    """
+    vb = _REDUCED_BROADCASTER_D2 if u.c.d == 2 else virtual_broadcast_coefficients(u.c.d)
     if u.shift:
         vb = CovariantCoefficients(u.c.d, tuple(_scaled(vb.as_array(), -u.shift)))
-    return _gauge_gap(u.g, vb._gauge_reduced, u.tol)
+    return _gauge_gap(u.g, vb, u.tol)
 
 
 def is_virtual_broadcaster(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> bool:

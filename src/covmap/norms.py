@@ -8,12 +8,17 @@ Bounded Maps and Operator Algebras, CUP 2002), and every 2 x 2 unitary is a
 real rotation R_phi between two diagonal unitaries, which commute with the
 multiplier.  So ||Phi||_cb = max_phi sigma_max(M o R_phi), which ``cb_norm``
 computes exactly.
+
+Both public functions read the weights once, through ``_window``: in the
+two-copy window, refused if a part is inf or NaN, and at d = 2 moved to the
+representative without a gauge part in c5.  ``cb_norm`` then evaluates at
+most four witnesses diag(1, z, 1, ..., 1), each on its first min(d, 3)
+eigenvalues, which hold every distinct 2 x 2 block of its image.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,39 +42,20 @@ class TraceTermsError(ValueError):
     """Raised when trace-term weights are present but must vanish."""
 
 
-def _finite_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, Tolerance, int]:
-    """twocopy._in_window(c, tol); ValueError if a weight part is inf or NaN."""
-    c, tol, shift = _in_window(c, tol)
+def _window(c: CovariantCoefficients, tol: Tolerance) -> tuple[np.ndarray, Tolerance, int, float]:
+    """Weights w of a representative of c, with the tol, shift and scale of twocopy._in_window.
+
+    w is c times 2**-shift.  At d = 2 the gauge moves c5 and c6 oppositely,
+    so only c5 + c6 belongs to the map; w is then c + c5 g, whose c5 is 0
+    and whose c6 is c5 + c6, and w[:4] gives corners that are a function
+    of the map.  scale is read from the weights before that move.
+    ValueError if a weight part is inf or NaN.
+    """
+    c, tol, shift, scale = _in_window(c, tol)
     if not all(map(cmath.isfinite, c.coeffs)):
         raise ValueError("a value overflows the double range")
-    return c, tol, shift
-
-
-def _trace_free(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, int]:
-    """The representative of c without trace terms, times 2**-shift, and shift.
-
-    shift is the window's (twocopy._in_window); the trace test reads the
-    weights, the tolerance and its floor of 1 in those units.  TraceTermsError
-    if the map has trace terms, ValueError if a weight part is inf or NaN.  At
-    d = 2 the gauge moves c5 and c6 oppositely, so only c5 + c6 belongs to
-    the map; the representative is then c + c5 g.  Otherwise c is returned.
-    """
-    c, tol, shift = _finite_window(c, tol)
-    c5, c6 = c.coeffs[4], c.coeffs[5]
-    trace = abs(c5 + c6) if c.d == 2 else max(abs(c5), abs(c6))
-    if trace > tol.bound(max(math.ldexp(1.0, -shift), *map(abs, c.coeffs))):
-        raise TraceTermsError("trace-term weights must vanish for norm analysis")
-    if c.d > 2 or c5 == 0:
-        return c, shift
-    return CovariantCoefficients(2, tuple(c.as_array() + c5 * GAUGE_DIRECTION)), shift
-
-
-def _corners(c: CovariantCoefficients) -> np.ndarray:
-    """corner_coefficients of c as an array, formed from c as given."""
     w = c.as_array()
-    if c.d == 2:
-        w = w + w[4] * GAUGE_DIRECTION
-    return _SIGNS @ w[:4]
+    return (w + w[4] * GAUGE_DIRECTION if c.d == 2 else w), tol, shift, scale
 
 
 def corner_coefficients(c: CovariantCoefficients) -> tuple[complex, complex, complex, complex]:
@@ -83,40 +69,38 @@ def corner_coefficients(c: CovariantCoefficients) -> tuple[complex, complex, com
     the window of twocopy._in_window and scaled back; a weight part that is
     inf or NaN, or a corner past the double range, raises ValueError.
     """
-    c, _, shift = _finite_window(c, DEFAULT_TOL)
-    return tuple(_scaled(_corners(c), shift))
+    w, _, shift, _ = _window(c, DEFAULT_TOL)
+    return tuple(_scaled(_SIGNS @ w[:4], shift))
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(d, 1), read-only: the index pairs i < j depend on d alone."""
-    pairs = np.triu_indices(d, 1)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
+# Index pairs i < j of the witness eigenvalues (1, z, 1), by min(d, 3): the block (1, z) at
+# d = 2; (1, z), (1, 1) and (z, 1) at d >= 3.
+_PAIRS = {2: (np.array([0]), np.array([1])), 3: (np.array([0, 0, 1]), np.array([1, 2, 2]))}
 
 
-def _spectral_norms(c: CovariantCoefficients, lam: np.ndarray) -> np.ndarray:
-    """Image norms of normal inputs with eigenvalues lam, one row per input.
+def _witness_norms(w: np.ndarray, z: np.ndarray, d: int) -> np.ndarray:
+    """Image norms of the trace-free weights w on the witnesses diag(1, z, 1, ..., 1), one per z.
 
-    By covariance a normal X = V diag(lam) V^dag has the image
-    (V (x) V) Phi(diag lam) (V (x) V)^dag, of the same norm.  Phi(diag lam)
-    is (c1+c2+c3+c4) lam_i on e_i (x) e_i and, for i < j, the 2 x 2 block M
-    below on {e_i (x) e_j, e_j (x) e_i}.  sigma_max(M)^2 is taken from the
-    Gram matrix M^H M as (p + r)/2 + hypot((p - r)/2, |q|), a sum of two
-    nonnegative terms; the textbook root of s^2 - 4|det M|^2 would lose
-    half the digits where the two singular values meet.
+    Phi(diag lam) is (c1+c2+c3+c4) lam_i on e_i (x) e_i and, for i < j, the
+    2 x 2 block M below on {e_i (x) e_j, e_j (x) e_i}.  A witness's pairs
+    (lam_i, lam_j) are (1, z), (1, 1) and (z, 1), all held by its first
+    min(d, 3) eigenvalues; d = 2 has (1, z) alone.  sigma_max(M)^2 is taken
+    from the Gram matrix M^H M as (p + r)/2 + hypot((p - r)/2, |q|), a sum
+    of two nonnegative terms; the textbook root of s^2 - 4|det M|^2 would
+    lose half the digits where the two singular values meet.
     """
-    c1, c2, c3, c4, _, _ = c.coeffs
-    i, j = _pairs(lam.shape[1])
-    li, lj = lam[:, i], lam[:, j]
+    c1, c2, c3, c4 = w[:4]
+    lam = np.ones((len(z), 3), dtype=np.complex128)
+    lam[:, 1] = z
+    i, j = _PAIRS[min(d, 3)]
+    li, lj = lam.take(i, 1), lam.take(j, 1)
     m11, m12 = c1 * lj + c2 * li, c3 * li + c4 * lj
     m21, m22 = c3 * lj + c4 * li, c1 * li + c2 * lj
     p = np.abs(m11) ** 2 + np.abs(m21) ** 2
     r = np.abs(m12) ** 2 + np.abs(m22) ** 2
     q = np.abs(m11.conj() * m12 + m21.conj() * m22)
     pairs = np.sqrt((p + r) / 2 + np.hypot((p - r) / 2, q)).max(axis=1)
-    return np.maximum(abs(c1 + c2 + c3 + c4) * np.abs(lam).max(axis=1), pairs)
+    return np.maximum(abs(c1 + c2 + c3 + c4) * np.maximum(np.abs(z), 1.0), pairs)
 
 
 @dataclass(frozen=True)
@@ -153,9 +137,13 @@ def cb_norm(
     twocopy._in_window, where no square passes the double range or, for
     the largest weights, underflows; the value and corner magnitudes are
     scaled back, and a result past the double range raises ValueError.
+    TraceTermsError if c5 or c6 of the representative (c5 + c6 at d = 2)
+    exceeds tol.bound(max(1, largest weight magnitude)), read in the window.
     """
-    c, shift = _trace_free(c, tol)
-    m = _corners(c)
+    w, tol, shift, scale = _window(c, tol)
+    if max(abs(w[4]), abs(w[5])) > tol.bound(scale):
+        raise TraceTermsError("trace-term weights must vanish for norm analysis")
+    m = _SIGNS @ w[:4]
     n = m / (np.abs(m).max() or 1.0)  # the candidate angles do not depend on scale
     _, cc, b, dd = _SIGNS @ np.abs(n) ** 2 / 4
     k = abs(n[2].conjugate() * n[3] - n[0].conjugate() * n[1]) ** 2 / 4
@@ -163,9 +151,7 @@ def cb_norm(
     a2, a1, a0 = alpha * (b * b - alpha), 2 * h * (b * b - alpha), b * b * gamma - h * h
     q = -(a1 + math.copysign(math.sqrt(max(a1 * a1 - 4 * a2 * a0, 0.0)), a1)) / 2  # stable roots
     x = np.clip([1.0, -1.0] + ([a0 / q] if q else []) + ([q / a2] if a2 else []), -1.0, 1.0)
-    lam = np.ones((len(x), c.d), dtype=np.complex128)
-    lam[:, 1] = x + 1j * np.sqrt(1 - x * x)
-    values = _spectral_norms(c, lam)
+    values = _witness_norms(w, x + 1j * np.sqrt(1 - x * x), c.d)
     best = int(np.argmax(values))
     magnitudes, value = np.abs(m).tolist(), float(values[best])
     if shift:

@@ -88,18 +88,18 @@ class CovariantCoefficients:
     def max_magnitude(self) -> float:
         return float(np.abs(self.as_array()).max())
 
-    @functools.cached_property
-    def _gauge_reduced(self) -> CovariantCoefficients:
-        """At d = 2 the projection orthogonal to g, formed from the weights as given; self otherwise."""
-        if self.d >= 3:
-            return self
-        arr = self.as_array()
-        overlap = np.vdot(GAUGE_DIRECTION, arr)
-        return CovariantCoefficients(self.d, tuple(arr - (overlap / 6.0) * GAUGE_DIRECTION))
+
+def _gauge_reduced(c: CovariantCoefficients) -> CovariantCoefficients:
+    """At d = 2 the projection of c orthogonal to g, formed from the weights as given; c otherwise."""
+    if c.d >= 3:
+        return c
+    arr = c.as_array()
+    overlap = np.vdot(GAUGE_DIRECTION, arr)
+    return CovariantCoefficients(c.d, tuple(arr - (overlap / 6.0) * GAUGE_DIRECTION))
 
 
-def _in_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, Tolerance, int]:
-    """c and tol.abs times 2**-shift, and shift: the one range rule for two-copy weights.
+def _in_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, Tolerance, int, float]:
+    """c and tol.abs times 2**-shift, shift, and the threshold scale: the one range rule for two-copy weights.
 
     With e the frexp exponent of the largest real or imaginary weight part,
     shift = max(0, e - 508) + min(0, max(e + 508, -508)).  Inside 2**+-508
@@ -108,15 +108,20 @@ def _in_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoeff
     of a scaled weight, and of any constant up to 2**508, stays below
     2**1022, and the power of two is exact wherever no weight is subnormal.
     Weights with an inf or NaN part are not scaled.  A scaled absolute
-    tolerance past the double range is the largest float.
+    tolerance past the double range is the largest float.  The threshold
+    scale max(2**-shift, max |c_k|) is the floor of 1 and the largest weight
+    magnitude in these units, each |c_k| the hypot of the scaled weight; a
+    NaN magnitude leaves the floor alone.
     """
     parts = [abs(x) for z in c.coeffs for x in (z.real, z.imag)]
-    e = math.frexp(max(parts))[1] if all(map(math.isfinite, parts)) else 0
+    finite = all(map(math.isfinite, parts))
+    e = math.frexp(max(parts))[1] if finite else 0
     shift = max(0, e - 508) + min(0, max(e + 508, -508))
     if shift:
         tol = Tolerance(min(_saturated(tol.abs, -shift), sys.float_info.max), tol.rel)
         c = CovariantCoefficients(c.d, tuple(_scaled(c.as_array(), -shift)))
-    return c, tol, shift
+    top = max(map(abs, c.coeffs)) if finite else c.max_magnitude()
+    return c, tol, shift, max(math.ldexp(1.0, -shift), top)
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,8 +212,8 @@ def gauge_reduce(c: CovariantCoefficients) -> CovariantCoefficients:
     """
     if c.d >= 3:
         return c
-    c, _, shift = _in_window(c, DEFAULT_TOL)
-    g = c._gauge_reduced
+    c, _, shift, _ = _in_window(c, DEFAULT_TOL)
+    g = _gauge_reduced(c)
     return CovariantCoefficients(2, tuple(_scaled(g.as_array(), shift))) if shift else g
 
 

@@ -46,6 +46,8 @@ from covmap.twocopy import (
 )
 
 TIGHT = Tolerance(abs=1e-8, rel=0.0)
+# The module, which the package's classify function shadows as an attribute.
+classify_module = importlib.import_module("covmap.classify")
 
 
 def hermitian_basis(d):
@@ -443,34 +445,38 @@ def _report_vectors(d, rng):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_classify_report_is_bit_identical_with_a_reduction_per_call(d, monkeypatch):
-    # The report shares one gauge reduction; reducing a fresh copy on every
-    # call, as each predicate once did, must give the same bits everywhere.
+    # The report reduces the weights once and reads B_vb's reduction from a
+    # per-d cache, scaled into the window's units; reducing fresh copies on
+    # every read, with B_vb scaled before its reduction, must give the same bits.
     vectors = _report_vectors(d, np.random.default_rng(40 + d))
+    vectors += [CovariantCoefficients(d, tuple(np.ldexp(1.0, k) * c.as_array())) for k in (-600, -900) for c in vectors[:20]]
     tols = (DEFAULT_TOL, TIGHT)
     shared = [repr(classify(c, tol)) for c in vectors for tol in tols]
-    reduce = CovariantCoefficients.__dict__["_gauge_reduced"].func
-    fresh = property(lambda c: reduce(CovariantCoefficients(c.d, c.coeffs)))
-    monkeypatch.setattr(CovariantCoefficients, "_gauge_reduced", fresh)
+    reduce = twocopy._gauge_reduced
+
+    def per_read(u):
+        vb = virtual_broadcast_coefficients(d).as_array() * 2.0**-u.shift
+        return twocopy._gauge_gap(u.g, reduce(CovariantCoefficients(d, tuple(vb))), u.tol)
+
+    monkeypatch.setattr(classify_module, "_gauge_reduced", lambda c: reduce(CovariantCoefficients(c.d, c.coeffs)))
+    monkeypatch.setattr(classify_module, "_virtual_broadcaster", per_read)
     assert [repr(classify(c, tol)) for c in vectors for tol in tols] == shared
 
 
 def test_classify_reduces_the_weights_once(monkeypatch):
-    prop = CovariantCoefficients.__dict__["_gauge_reduced"]
     reduced = []
-    reduce = prop.func
-    monkeypatch.setattr(prop, "func", lambda c: reduced.append(c) or reduce(c))
+    reduce = twocopy._gauge_reduced
     windowed = []  # every call of the window, from classify or from the gauge reduction
     window = twocopy._in_window
-    for module in (twocopy, importlib.import_module("covmap.classify")):
+    for module in (twocopy, classify_module):
+        monkeypatch.setattr(module, "_gauge_reduced", lambda c: reduced.append(c) or reduce(c))
         monkeypatch.setattr(module, "_in_window", lambda c, tol: windowed.append(c) or window(c, tol))
-    gauge_reduce(virtual_broadcast_coefficients(2))  # kept for the process
     c = CovariantCoefficients(2, (1, 2, 0.3, 0.3j, 0.1, -0.2))
     reduced.clear()
     windowed.clear()
     classify(c)
     assert len(reduced) == 1 and reduced[0] is c
     assert len(windowed) == 1 and windowed[0] is c
-    assert gauge_reduce(c) is gauge_reduce(c)
 
 
 def test_classify_evidence_values_are_floats_bools_or_none():

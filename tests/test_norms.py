@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import monte_carlo_norm, probes
+from _oracles import monte_carlo_norm, probes, spectral_norms
 from covmap import norms
 from covmap.linalg import Tolerance, operator_norm
 from covmap.norms import CbNormResult, TraceTermsError, cb_norm, corner_coefficients
@@ -231,8 +233,37 @@ def test_spectral_norm_equals_dense_image_norm(seed, d, spectrum, kind):
             w = np.array([0, 0, *np.exp(2j * np.pi * rng.random(2))])
         c = CovariantCoefficients(d, (*w, 0, 0))
     x, lam = _normal_probe(rng, d, spectrum)
-    got = norms._spectral_norms(c, lam[None, :])[0]
+    got = spectral_norms(c, lam[None, :])[0]
     assert abs(got - operator_norm(apply_map(c, x))) <= _spectral_bound(c)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_cb_norm_is_the_reference_norm_of_its_witness(d, monkeypatch):
+    # cb_norm reads each candidate witness diag(1, z, 1, ..., 1) on its first
+    # min(d, 3) eigenvalues; the reference over all d of them gives the same
+    # bits for every candidate, and the dense image of the returned witness
+    # has the returned norm.
+    seen = []
+    witness_norms = norms._witness_norms
+
+    def recorded(w, z, d):
+        seen.append((z, witness_norms(w, z, d)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(norms, "_witness_norms", recorded)
+    rng = np.random.default_rng(100 + d)
+    for weights in (rng.standard_normal(4) + 1j * rng.standard_normal(4), (1, 1, -0.5, -0.5), (1, -1, 1, -1)):
+        c = CovariantCoefficients(d, (*weights, 0, 0))
+        seen.clear()
+        res = cb_norm(c)
+        ((z, values),) = seen
+        lam = np.ones((len(z), d), dtype=complex)
+        lam[:, 1] = z
+        assert values.tobytes() == spectral_norms(c, lam).tobytes()
+        assert res.value == values.max()
+        witness = np.eye(d, dtype=complex)
+        witness[1, 1] = np.exp(1j * res.detail["witness_angle"])
+        assert operator_norm(apply_map(c, witness)) == pytest.approx(res.value, rel=1e-12)
 
 
 def test_monte_carlo_norm_deterministic():
@@ -332,8 +363,9 @@ def test_min_norm_representative_at_d2_is_analysed():
 def test_trace_free_input_is_returned_unchanged():
     for d, weights in ((2, (1, 0.5, 0.2, 0.1, 0, 1e-14)), (3, (1, 2, 3, 4, 0, 0))):
         c = CovariantCoefficients(d, weights)
-        got, shift = norms._trace_free(c, Tolerance())
-        assert got is c and shift == 0
+        w, tol, shift, scale = norms._window(c, Tolerance())
+        assert w.tolist() == list(c.coeffs) and shift == 0
+        assert tol == Tolerance() and scale == max(1.0, c.max_magnitude())
 
 
 def test_trace_terms_rejected_at_d2_only_on_the_gauge_invariant_sum():
@@ -342,8 +374,19 @@ def test_trace_terms_rejected_at_d2_only_on_the_gauge_invariant_sum():
         cb_norm(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, 0.25)))
     with pytest.raises(TraceTermsError):
         cb_norm(CovariantCoefficients(2, (1, 1, 0, 0, 0, 1e-6)))
-    c, _ = norms._trace_free(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, -0.25)), Tolerance())
-    assert c.coeffs == (1.25, 1.25, -0.25, -0.25, 0, 0)
+    w, _, _, scale = norms._window(CovariantCoefficients(2, (1, 1, 0, 0, 0.25, -0.25)), Tolerance())
+    assert w.tolist() == [1.25, 1.25, -0.25, -0.25, 0, 0]
+    assert scale == 1.0  # the threshold reads the weights before the gauge move
+
+
+def test_trace_test_and_classify_read_one_threshold_scale():
+    # Both read |c_k| as Python's abs does (libm hypot).  numpy's vectorised
+    # abs can differ from it in the last bit, as it does for this c3 on some hosts.
+    classify_module = importlib.import_module("covmap.classify")
+    c3 = 1.1078614047633129 + 1.7667377615710365j
+    for d in (2, 3):
+        c = CovariantCoefficients(d, (1, 0.5j, c3, c3.conjugate(), 0, 0))
+        assert norms._window(c, Tolerance())[3] == classify_module._units(c, Tolerance()).scale == abs(c3)
 
 
 @pytest.mark.parametrize("t", [0.2, -1.5, 0.3 - 0.7j])
