@@ -110,8 +110,9 @@ def _in_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoeff
     Weights with an inf or NaN part are not scaled.  A scaled absolute
     tolerance past the double range is the largest float.  The threshold
     scale max(2**-shift, max |c_k|) is the floor of 1 and the largest weight
-    magnitude in these units, each |c_k| the hypot of the scaled weight; a
-    NaN magnitude leaves the floor alone.
+    magnitude in these units, each |c_k| Python's abs (libm hypot) of the
+    scaled weight, which numpy's vectorised abs can miss by an ulp; a NaN
+    magnitude leaves the floor alone.
     """
     parts = [abs(x) for z in c.coeffs for x in (z.real, z.imag)]
     finite = all(map(math.isfinite, parts))
@@ -206,7 +207,7 @@ def _recover(superop, d: int, tol: Tolerance) -> tuple[CovariantCoefficients, fl
 
 
 def gauge_reduce(c: CovariantCoefficients) -> CovariantCoefficients:
-    """Canonical representative, kept on the vector: unchanged for d >= 3, min-norm at d = 2.
+    """Canonical representative: unchanged for d >= 3, min-norm at d = 2.
 
     At d = 2 the projection is formed in the window of _in_window and scaled back.
     """

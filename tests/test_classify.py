@@ -449,7 +449,8 @@ def test_classify_report_is_bit_identical_with_a_reduction_per_call(d, monkeypat
     # per-d cache, scaled into the window's units; reducing fresh copies on
     # every read, with B_vb scaled before its reduction, must give the same bits.
     vectors = _report_vectors(d, np.random.default_rng(40 + d))
-    vectors += [CovariantCoefficients(d, tuple(np.ldexp(1.0, k) * c.as_array())) for k in (-600, -900) for c in vectors[:20]]
+    scaled = (np.ldexp(1.0, k) * c.as_array() for k in (-600, -900) for c in vectors[:20])
+    vectors += [CovariantCoefficients(d, tuple(w)) for w in scaled]
     tols = (DEFAULT_TOL, TIGHT)
     shared = [repr(classify(c, tol)) for c in vectors for tol in tols]
     reduce = twocopy._gauge_reduced
@@ -458,7 +459,8 @@ def test_classify_report_is_bit_identical_with_a_reduction_per_call(d, monkeypat
         vb = virtual_broadcast_coefficients(d).as_array() * 2.0**-u.shift
         return twocopy._gauge_gap(u.g, reduce(CovariantCoefficients(d, tuple(vb))), u.tol)
 
-    monkeypatch.setattr(classify_module, "_gauge_reduced", lambda c: reduce(CovariantCoefficients(c.d, c.coeffs)))
+    fresh = lambda c: reduce(CovariantCoefficients(c.d, c.coeffs))  # noqa: E731
+    monkeypatch.setattr(classify_module, "_gauge_reduced", fresh)
     monkeypatch.setattr(classify_module, "_virtual_broadcaster", per_read)
     assert [repr(classify(c, tol)) for c in vectors for tol in tols] == shared
 
