@@ -374,7 +374,7 @@ def test_no_call_keeps_state_on_the_weights(d):
 
 @pytest.mark.parametrize(
     "cache, key",
-    [(operators._hit_columns, (2, 4)), (operators._hit_columns, (3, 3))],
+    [(operators._hit_columns, (2, 3)), (operators._hit_columns, (2, 4)), (operators._hit_columns, (3, 3))],
 )
 def test_index_caches_are_read_only_and_keyed_by_shape(cache, key):
     assert list(inspect.signature(cache.__wrapped__).parameters) == ["m", "d"]
