@@ -174,7 +174,7 @@ def _load_two_copy_map(obj, args: argparse.Namespace):
         c = serialize.coefficients_from_obj(obj)
         _check_weight_file(args, c.d)
         return c, None
-    return _recover(*_superoperator(obj, args), args.tol)
+    return _recover(*_superoperator(obj, args))
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:

@@ -141,6 +141,20 @@ def _saturated(x: float, e: int) -> float:
     return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.copysign(math.inf, x)
 
 
+def _magnitude(z: complex) -> float:
+    """Python's abs of z (libm hypot), or inf where that passes the double range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _largest_magnitude(values) -> float:
+    """The largest _magnitude of the values; NaN if one is NaN."""
+    magnitudes = [_magnitude(z) for z in values]
+    return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
+
+
 # A matrix whose largest real or imaginary entry part is at least 2**-this has a Gram
 # matrix that loses no leading digits to underflow, and a top eigenvalue of at least 2**(-2 * this).
 _GRAM_EXPONENT = 400

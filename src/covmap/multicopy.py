@@ -27,9 +27,8 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _range_exponent, _scaled
-from .operators import _apply, _permutation_ones, _read_weights, _realize, _residual, _shaped
-from .operators import _span_fit, _support_sums
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _largest_magnitude, _range_exponent, _scaled
+from .operators import _apply, _extract, _permutation_ones, _realize, _shaped, _span_fit, _support_sums
 from .operators import enumerate_permutations
 from .twirl import _covariance_defect
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
@@ -82,7 +81,8 @@ class MultiCopyCoefficients:
         object.__setattr__(self, "lam", lam)
 
     def max_magnitude(self) -> float:
-        return float(np.abs(self.lam).max())
+        """Largest |lam[i, j]|, each Python's abs (libm hypot); NaN if a weight has a NaN part."""
+        return _largest_magnitude(self.lam.ravel().tolist())
 
 
 def slot_embedding(j: int, x, m: int, d: int) -> np.ndarray:
@@ -129,9 +129,8 @@ def extract_multi(
         raise UniquenessUnavailableError(
             f"weights are not unique for d={d} < m+1={m + 1}"
         )
-    superop = _shaped(superop, d, m)
-    mc = MultiCopyCoefficients(m, d, _read_weights(superop, m, d))
-    return mc, _residual(superop, mc.lam, m, d, _range_exponent(superop))
+    lam, residual = _extract(superop, m, d)
+    return MultiCopyCoefficients(m, d, lam), residual
 
 
 def covariance_residual_multi(superop, m: int, d: int, samples: int = 20, seed: int = 0) -> float:

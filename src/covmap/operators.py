@@ -18,13 +18,18 @@ exact Gram solve over their positions (``_span_fit``), whose Gram matrix
 is counted once per basis (``_span``).  A residual against a realized map
 is taken on the realized support alone (``_residual``).
 
-Cache: the row indices, the scatter positions of the generators and the
-entries each generator hits, their joint support, the ones of the
-permutation operators with their Gram matrix and the image entries that
-apply gathers depend on (m, d) alone.  Each (m, d) is built on first use
-and kept for the life of the process, read-only; the cache holds this
-structure only, never weights or results.  It takes about 2.7 MB at
-(4, 4) and about 9.0 MB for all 23 pairs inside the multicopy desk cap.
+Cache: one scatter record per (m, d) (``_scatter``) says where the
+generators put their ones: the entries each generator hits, where
+every permutation moves them, and the realized support they share.
+Realize, the residual, the probe table of the weight read (``_probes``),
+the image entries that apply gathers (``_gather``) and the two-copy fit
+span all read that record.  With the row indices and the ones of the
+permutation operators with their Gram matrix, these depend on (m, d)
+alone.  Each (m, d) is built on first use and kept for the life of the
+process, read-only; the cache holds this structure only, never weights
+or results.  Traced by tracemalloc, with the probe table only where
+d >= m + 1, it takes about 2.8 MB at (4, 4) and about 9.6 MB for all 23
+pairs inside the multicopy desk cap.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, _scaled, _top_singular_values, as_matrix, vec
+from .linalg import DimensionError, _range_exponent, _scaled, _top_singular_values, as_matrix, vec
 
 __all__ = [
     "Permutation",
@@ -222,14 +227,16 @@ def _permutation_ones(m: int, d: int) -> tuple[tuple, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _scatter(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _scatter(m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where the generators P(s) F_j put their ones in a realized superoperator.
 
-    Returns (hits, flat) over the joint support of the unpermuted
-    generators: hits[u, j] is True when F_(j+1) has a one at entry u, and
-    flat[i, u] is the flat index of entry u in the d^(2m) x d^2 matrix once
-    permutation i has moved its rows.  The support is sorted, so every
-    generator meets its ones in (output column, input digit) order.
+    Returns (columns, flat, support, inverse).  Over the sorted joint
+    support of the unpermuted generators, columns[j] holds the entries
+    where F_(j+1) has a one, in increasing order, so every generator meets
+    its ones in (output column, input digit) order; flat[i, u] is the flat
+    index of entry u in the d^(2m) x d^2 matrix once permutation i has
+    moved its rows.  support and inverse are the _joint_support of flat:
+    the realized support, and where each flat[i, u] sits in it.
     """
     dim, dd = d**m, d * d
     c = np.arange(dim)[:, None]
@@ -243,25 +250,14 @@ def _scatter(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         x = c + (a - b) * place  # c with the digit of this slot set to a
         keys.append((c * dim + x) * dd + b * d + a)
     keys = np.stack([k.reshape(-1) for k in keys])
-    support, inverse = np.unique(keys.reshape(-1), return_inverse=True)
-    hits = np.zeros((support.size, m + 1), dtype=bool)
-    hits[inverse.reshape(keys.shape), np.arange(m + 1)[:, None]] = True
-    x = support // dd % dim
+    entries, at = np.unique(keys, return_inverse=True)
+    columns = np.sort(at.reshape(keys.shape), axis=1)  # no generator meets an entry twice
+    x = entries // dd % dim
     forward = np.argsort(_rows(m, d), axis=1)  # row x moves to row forward[i, x]
-    flat = support + (forward[:, x] - x) * dd
-    hits.setflags(write=False)
+    flat = entries + (forward[:, x] - x) * dd
+    columns.setflags(write=False)
     flat.setflags(write=False)
-    return hits, flat
-
-
-@functools.lru_cache(maxsize=None)
-def _hit_columns(m: int, d: int) -> tuple[np.ndarray, ...]:
-    """np.flatnonzero(hits[:, j]) of _scatter(m, d) for each generator j, read-only."""
-    hits, _ = _scatter(m, d)
-    columns = tuple(np.flatnonzero(hits[:, j]) for j in range(m + 1))
-    for a in columns:
-        a.setflags(write=False)
-    return columns
+    return columns, flat, *_joint_support(flat)
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,16 +273,16 @@ def _gather(m: int, d: int) -> tuple[tuple, np.ndarray]:
     entry of (vec(x), tr(x)) it holds there.  Permutation i moves entry e
     to the C-order flat index target[i, e].
     """
-    hits, flat = _scatter(m, d)
+    columns, flat, _, _ = _scatter(m, d)
     dim, dd = d**m, d * d
-    rows, columns = np.divmod(flat[0], dd)  # permutation 0 is the identity
+    rows, inputs = np.divmod(flat[0], dd)  # permutation 0 is the identity
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     block = np.empty(first.size, dtype=np.intp)  # 0 slot 1, 1 diagonal, j slot j
     source = np.full((m + 1, first.size), dd)  # the trace reads tr(x), entry dd
     for j in range(1, m + 1):
-        block[inverse[hits[:, j]]] = 0 if j == 1 else j
-        source[j, inverse[hits[:, j]]] = columns[hits[:, j]]
-    block[inverse[hits[:, 0]]] = 1
+        block[inverse[columns[j]]] = 0 if j == 1 else j
+        source[j, inverse[columns[j]]] = inputs[columns[j]]
+    block[inverse[columns[0]]] = 1
     order = np.argsort(block, kind="stable")
     bounds = np.cumsum([0, *np.bincount(block)])
     source = source[:, order]
@@ -325,33 +321,23 @@ def _support_sums(inverse: np.ndarray, size: int, rows) -> np.ndarray:
     return sums
 
 
-@functools.lru_cache(maxsize=None)
-def _support(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The realized support: the flat indices some generator P(s) F_j reaches, sorted.
-
-    Returns (support, inverse), the _joint_support of flat = _scatter(m, d)[1],
-    so inverse[i, u] is where flat[i, u] sits in support.
-    """
-    return _joint_support(_scatter(m, d)[1])
-
-
 def _realized(lam: np.ndarray, m: int, d: int) -> np.ndarray:
-    """Values of _realize(lam, m, d) on _support(m, d), with the same bits.
+    """Values of _realize(lam, m, d) on the realized support of _scatter(m, d), with the same bits.
 
     Weights are summed per permutation in generator order, then across
     permutations in order, as a sum of permuted dense images would be.
     """
-    support, inverse = _support(m, d)
+    columns, _, support, inverse = _scatter(m, d)
     inner = np.zeros(inverse.shape, dtype=np.complex128)
-    for j, columns in enumerate(_hit_columns(m, d)):
-        inner[:, columns] += lam[:, j, None]
+    for j, at in enumerate(columns):
+        inner[:, at] += lam[:, j, None]
     return _support_sums(inverse, support.size, inner)
 
 
 def _realize(lam: np.ndarray, m: int, d: int) -> np.ndarray:
     """d^(2m) x d^2 superoperator of the weight table lam of shape (m!, m+1)."""
     out = np.zeros(d ** (2 * m + 2), dtype=np.complex128)
-    out[_support(m, d)[0]] = _realized(lam, m, d)
+    out[_scatter(m, d)[2]] = _realized(lam, m, d)
     return out.reshape(d ** (2 * m), d * d)
 
 
@@ -374,7 +360,7 @@ def _residual(superop: np.ndarray, lam: np.ndarray, m: int, d: int, e: int) -> f
     values on the support alone; every other entry is superop's own, as x - 0 is.
     """
     difference = _scaled(superop, -e)
-    difference.reshape(-1)[_support(m, d)[0]] -= _realized(_scaled(lam, -e), m, d)
+    difference.reshape(-1)[_scatter(m, d)[2]] -= _realized(_scaled(lam, -e), m, d)
     return _scaled(float(_top_singular_values(difference)), e)
 
 
@@ -386,23 +372,26 @@ def _probes(m: int, d: int) -> np.ndarray:
     (the e1 e1* image) for the trace generator or column d (the e1 e2*
     image) for a slot generator; every generator has one iff d >= m + 1.
     """
-    hits, flat = _scatter(m, d)
-    reached = np.bincount(flat.reshape(-1), weights=np.tile(hits.sum(axis=1), len(flat)))
-    column = np.where(np.arange(m + 1), d, 0)
-    alone = (reached[flat] == 1)[:, :, None] & hits & ((flat % (d * d))[:, :, None] == column)
-    probes = np.take_along_axis(flat, alone.argmax(axis=1), axis=1)
+    columns, flat, _, inverse = _scatter(m, d)
+    ones, at = flat[:, columns], inverse[:, columns]  # generator (i, j) at [i, j]
+    reached = np.bincount(at.reshape(-1))  # how many generators reach each support entry
+    alone = (reached[at] == 1) & (ones % (d * d) == np.where(np.arange(m + 1), d, 0)[:, None])
+    probes = np.take_along_axis(ones, alone.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
     probes.setflags(write=False)
     return probes
 
 
-def _read_weights(superop: np.ndarray, m: int, d: int) -> np.ndarray:
-    """Weight table of shape (m!, m+1) read off single entries; inverse of _realize.
+def _extract(superop, m: int, d: int) -> tuple[np.ndarray, float]:
+    """Weight table of shape (m!, m+1) read off single entries, and its residual; inverse of _realize.
 
     Each weight is read at its generator's entry in _probes, which holds a
-    single term of _realize, so realized weights come back exactly.  Needs
+    single term of _realize, so realized weights come back exactly.  The
+    residual is operator_norm(superop - _realize(table, m, d)).  Needs
     d >= m + 1.
     """
-    return superop.flat[_probes(m, d)]
+    superop = _shaped(superop, d, m)
+    table = superop.flat[_probes(m, d)]
+    return table, _residual(superop, table, m, d, _range_exponent(superop))
 
 
 def _span(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -253,6 +253,7 @@ def twirl(
     conjugated_superoperator with that unitary.  Weights come from the
     kernel read (:func:`covmap.twocopy.extract`) for d >= 3 and from the
     least-squares fit (gauge-reduced) at d = 2.  A result past the double range raises ValueError.
+    ``tol`` is accepted for signature compatibility and not used.
     """
     superop = _shaped(superop, d)
     _check_samples(samples, deviation_samples)
@@ -260,7 +261,7 @@ def twirl(
     avg = _scaled(_haar_average(_scaled(superop, -e), d, samples, seed, _superoperator_pairs), e)
     dev_before = covariance_deviation(superop, d, deviation_samples, seed)
     dev_after = covariance_deviation(avg, d, deviation_samples, seed)
-    coeffs, residual = _recover(avg, d, tol)
+    coeffs, residual = _recover(avg, d)
     return TwirlResult(coeffs, residual, samples, seed, dev_before, dev_after, avg)
 
 

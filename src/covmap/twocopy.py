@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _range_exponent, _saturated, _scaled
-from .operators import _apply, _read_weights, _realize, _residual, _scatter, _shaped, _span
-from .operators import _span_fit
+from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _largest_magnitude, _range_exponent, _saturated, _scaled
+from .operators import _apply, _extract, _realize, _residual, _scatter, _shaped, _span, _span_fit
 
 __all__ = [
     "GAUGE_DIRECTION",
@@ -86,7 +85,8 @@ class CovariantCoefficients:
         return self.coeffs[k]
 
     def max_magnitude(self) -> float:
-        return float(np.abs(self.as_array()).max())
+        """Largest |c_k|, each Python's abs (libm hypot); NaN if a weight has a NaN part."""
+        return _largest_magnitude(self.coeffs)
 
 
 def _gauge_reduced(c: CovariantCoefficients) -> CovariantCoefficients:
@@ -98,31 +98,30 @@ def _gauge_reduced(c: CovariantCoefficients) -> CovariantCoefficients:
     return CovariantCoefficients(c.d, tuple(arr - (overlap / 6.0) * GAUGE_DIRECTION))
 
 
-def _in_window(c: CovariantCoefficients, tol: Tolerance) -> tuple[CovariantCoefficients, Tolerance, int, float]:
+def _in_window(
+    c: CovariantCoefficients, tol: Tolerance, *peers: CovariantCoefficients
+) -> tuple[CovariantCoefficients, Tolerance, int, float]:
     """c and tol.abs times 2**-shift, shift, and the threshold scale: the one range rule for two-copy weights.
 
-    With e the frexp exponent of the largest real or imaginary weight part,
-    shift = max(0, e - 508) + min(0, max(e + 508, -508)).  Inside 2**+-508
-    it is 0 and c, tol come back as given; otherwise the weights move to the
-    nearer edge of that window, upward by at most 2**508.  So every square
-    of a scaled weight, and of any constant up to 2**508, stays below
-    2**1022, and the power of two is exact wherever no weight is subnormal.
-    Weights with an inf or NaN part are not scaled.  A scaled absolute
-    tolerance past the double range is the largest float.  The threshold
-    scale max(2**-shift, max |c_k|) is the floor of 1 and the largest weight
-    magnitude in these units, each |c_k| Python's abs (libm hypot) of the
-    scaled weight, which numpy's vectorised abs can miss by an ulp; a NaN
-    magnitude leaves the floor alone.
+    With e the frexp exponent of the largest real or imaginary weight part
+    of c and its peers, shift = max(0, e - 508) + min(0, max(e + 508, -508)).
+    Inside 2**+-508 it is 0 and c, tol come back as given; otherwise the
+    weights move to the nearer edge of that window, upward by at most
+    2**508.  So every square of a scaled weight, and of any constant up to
+    2**508, stays below 2**1022, and the power of two is exact wherever no
+    weight is subnormal.  Weights with an inf or NaN part, in c or a peer,
+    are not scaled.  A scaled absolute tolerance past the double range is
+    the largest float.  The threshold scale max(2**-shift, max |c_k|) is
+    the floor of 1 and c's max_magnitude in these units; a NaN magnitude
+    leaves the floor alone.
     """
-    parts = [abs(x) for z in c.coeffs for x in (z.real, z.imag)]
-    finite = all(map(math.isfinite, parts))
-    e = math.frexp(max(parts))[1] if finite else 0
+    parts = [abs(x) for w in (c, *peers) for z in w.coeffs for x in (z.real, z.imag)]
+    e = math.frexp(max(parts))[1] if all(map(math.isfinite, parts)) else 0
     shift = max(0, e - 508) + min(0, max(e + 508, -508))
     if shift:
         tol = Tolerance(min(_saturated(tol.abs, -shift), sys.float_info.max), tol.rel)
         c = CovariantCoefficients(c.d, tuple(_scaled(c.as_array(), -shift)))
-    top = max(map(abs, c.coeffs)) if finite else c.max_magnitude()
-    return c, tol, shift, max(math.ldexp(1.0, -shift), top)
+    return c, tol, shift, max(math.ldexp(1.0, -shift), c.max_magnitude())
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,9 +169,7 @@ def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoe
     """
     if d == 2:
         raise GaugeAmbiguousError("weights are not unique at d = 2")
-    superop = _shaped(superop, d)
-    table = _read_weights(superop, 2, d)
-    residual = _residual(superop, table, 2, d, _range_exponent(superop))
+    table, residual = _extract(superop, 2, d)
     return CovariantCoefficients(d, table.reshape(-1)[_UNTABLE]), residual
 
 
@@ -194,16 +191,18 @@ def fit_coefficients(superop, d: int) -> tuple[CovariantCoefficients, float]:
 
 @functools.lru_cache(maxsize=None)
 def _generator_span(d: int) -> tuple:
-    """The _span of the six generators' ones, in weight order."""
-    hits, flat = _scatter(2, d)
-    # Weight k sits at table entry (i, j); its generator's ones are flat[i, hits[:, j]].
-    table = zip(*np.unravel_index(_UNTABLE, _TABLE.shape))
-    return _span(np.stack([flat[i, hits[:, j]] for i, j in table]))
+    """The _span of the six generators' ones, in weight order.
+
+    Weight k sits at table entry (i, j), and its generator has its ones at
+    flat[i, columns[j]] of _scatter(2, d).
+    """
+    columns, flat, _, _ = _scatter(2, d)
+    return _span(flat[:, columns].reshape(6, -1)[_UNTABLE])
 
 
-def _recover(superop, d: int, tol: Tolerance) -> tuple[CovariantCoefficients, float]:
+def _recover(superop, d: int) -> tuple[CovariantCoefficients, float]:
     """Weights and residual of a superoperator: the kernel read at d >= 3, the fit at d = 2."""
-    return extract(superop, d, tol) if d >= 3 else fit_coefficients(superop, d)
+    return extract(superop, d) if d >= 3 else fit_coefficients(superop, d)
 
 
 def gauge_reduce(c: CovariantCoefficients) -> CovariantCoefficients:
@@ -221,15 +220,21 @@ def gauge_reduce(c: CovariantCoefficients) -> CovariantCoefficients:
 def maps_equal(
     a: CovariantCoefficients, b: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Whether two coefficient vectors realize the same map."""
+    """Whether two coefficient vectors realize the same map.
+
+    Both are read in one window of _in_window, shifted from the larger peak
+    of the two, and gauge-reduced and compared there.
+    """
     if a.d != b.d:
         raise DimensionError(f"dimension mismatch {a.d} vs {b.d}")
-    return _gauge_gap(gauge_reduce(a), gauge_reduce(b), tol)[0]
+    (a, tol, _, _), (b, _, _, _) = _in_window(a, tol, b), _in_window(b, tol, a)
+    return _gauge_gap(_gauge_reduced(a), _gauge_reduced(b), tol)[0]
 
 
 def _gauge_gap(a: CovariantCoefficients, b: CovariantCoefficients, tol: Tolerance) -> tuple[bool, float]:
-    """Whether gauge-reduced weights a and b of equal d agree at tol, and their largest gap."""
-    da = a.as_array()
-    db = b.as_array()
-    gap = np.abs(da - db).max()
-    return bool(gap <= tol.bound(max(np.abs(da).max(), np.abs(db).max()))), float(gap)
+    """Whether gauge-reduced weights a and b of equal d agree at tol, and their largest gap.
+
+    Magnitudes are Python's abs, as in _in_window.
+    """
+    gap = _largest_magnitude([x - y for x, y in zip(a.coeffs, b.coeffs)])
+    return gap <= tol.bound(max(a.max_magnitude(), b.max_magnitude())), gap

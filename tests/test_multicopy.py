@@ -215,6 +215,21 @@ def test_probe_table_picks_the_hand_derived_entries(m, d):
     assert _probes(m, d).tolist() == _probe_arithmetic(m, d).tolist()
 
 
+def test_probe_table_is_built_on_the_realized_support():
+    # The generators at each entry are counted on the realized support; a
+    # weighted count over all d^6 entries of the (2, 16) superoperator traces
+    # over 100 MB.
+    _scatter(2, 16)
+    _probes.cache_clear()
+    tracemalloc.start()
+    try:
+        _probes(2, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_extract_multi_at_m2_is_the_two_copy_extract(d):
     rng = np.random.default_rng(600 + d)
@@ -689,8 +704,8 @@ def test_covariance_defect_ranks_its_stack_at_every_scale(monkeypatch, exponent)
 def test_generator_positions_meet_the_span_fit_order(m, d):
     # _span_fit counts shared ones column by column, which is exact when a
     # position recurs only in one column and never twice in one generator.
-    hits, flat = _scatter(m, d)
-    positions = np.stack([flat[i, hits[:, j]] for i in range(len(flat)) for j in range(m + 1)])
+    columns, flat, _, _ = _scatter(m, d)
+    positions = np.stack([flat[i, columns[j]] for i in range(len(flat)) for j in range(m + 1)])
     support, inverse = np.unique(positions, return_inverse=True)
     column = np.broadcast_to(np.arange(positions.shape[1]), positions.shape)
     seen = np.empty(support.size, dtype=np.intp)
@@ -720,9 +735,9 @@ def test_cached_span_fits_have_the_bits_of_a_recounted_gram(m, d):
     assert fit.degenerate == (m > d)
     if m == 2:
         sup = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
-        hits, flat = _scatter(2, d)
+        columns, flat, _, _ = _scatter(2, d)
         table = zip(*np.unravel_index(_UNTABLE, _TABLE.shape))
-        generators = np.stack([flat[i, hits[:, j]] for i, j in table])
+        generators = np.stack([flat[i, columns[j]] for i, j in table])
         want = _recounted_span_fit(sup.reshape(-1), generators)
         want = gauge_reduce(CovariantCoefficients(d, tuple(want))).as_array()
         assert fit_coefficients(sup, d)[0].as_array().tobytes() == want.tobytes()

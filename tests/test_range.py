@@ -30,7 +30,7 @@ from covmap.multicopy import (
 )
 from covmap.norms import _SIGNS, cb_norm, corner_coefficients
 from covmap.twirl import covariance_deviation, twirl, twirl_operator
-from covmap.twocopy import GAUGE_DIRECTION, CovariantCoefficients, extract, fit_coefficients, gauge_reduce
+from covmap.twocopy import GAUGE_DIRECTION, CovariantCoefficients, extract, fit_coefficients, gauge_reduce, maps_equal
 
 OVERFLOW = "^a value overflows the double range$"
 
@@ -245,6 +245,36 @@ def test_gauge_reduce_works_in_the_window():
             for k in (0, -1000, -600, -500, 500, 600, 1000):
                 got = gauge_reduce(_weights_at(w, 2, k)).as_array()
                 assert got.tobytes() == _shifted(plain, k).tobytes(), k
+
+
+@pytest.mark.parametrize("d, peak", [(2, 1.5e308), (3, 1e308), (5, 1e308)])
+def test_maps_equal_reads_both_weights_in_one_window(d, peak):
+    # Windowed one by one and scaled back, the gauge-reduced weights differ by
+    # 2 peak (5/3 peak at d = 2) in the first place, past the double range.
+    a, b = (CovariantCoefficients(d, (sign * peak, 0, 0, 0, 0, 0)) for sign in (1, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not maps_equal(a, b)
+        assert not maps_equal(b, a)
+        assert maps_equal(a, a) and maps_equal(b, b)
+
+
+def test_max_magnitude_is_python_abs_and_inf_past_the_range():
+    # Python's abs (libm hypot), which numpy's vectorised abs can miss by an ulp.
+    rng = np.random.default_rng(90)
+    for _ in range(200):
+        w = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        want = max(map(abs, w.ravel().tolist()))
+        assert CovariantCoefficients(3, tuple(w.ravel())).max_magnitude() == want
+        assert MultiCopyCoefficients(2, 3, w).max_magnitude() == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a magnitude past the range is inf, and a NaN part wins over it
+        huge = 1.5e308 + 1.5e308j
+        for weights, want in [((huge, 1, 0), math.inf), ((1, complex(0, math.nan), huge), math.nan)]:
+            w = np.array([*weights, 0, 0, 0])
+            assert repr(CovariantCoefficients(3, tuple(w)).max_magnitude()) == repr(want)
+            assert repr(MultiCopyCoefficients(2, 3, w.reshape(2, 3)).max_magnitude()) == repr(want)
 
 
 def test_corner_coefficients_are_formed_in_the_window():

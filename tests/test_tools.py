@@ -1,8 +1,10 @@
-"""The source counts of tools/bench_kernels.py, on fixed text and on the package."""
+"""The source counts and the cold-call cache clearing of tools/bench_kernels.py."""
 
 import functools
 import importlib.util
 from pathlib import Path
+
+from covmap import operators
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_kernels.py"
 
@@ -49,3 +51,11 @@ def test_source_lines_total_each_module():
     assert lines["total"] == sum(lines["modules"].values())
     assert lines["code_total"] == sum(lines["code"].values())
     assert all(lines["code"][name] < lines["modules"][name] for name in lines["code"])
+
+
+def test_cold_calls_clear_the_index_tables_first():
+    bench = _bench_kernels()
+    assert {"_scatter", "_probes"} <= {table.__name__ for table in bench.cached_tables()}
+    sizes = []
+    bench.cold_ms(lambda: sizes.append(operators._scatter.cache_info().currsize))
+    assert sizes == [0] * bench.REPEAT

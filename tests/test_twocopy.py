@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covmap.linalg import DimensionError, Tolerance, is_psd, kron, operator_norm, unvec, vec
+from covmap.linalg import DimensionError, is_psd, kron, operator_norm, unvec, vec
 from covmap.multicopy import apply_multi, from_two_copy, realize_multi_superoperator
 from covmap import linalg, operators, twocopy
 from covmap.classify import classify
@@ -351,7 +351,7 @@ def test_recover_reads_at_d3_and_up_and_fits_at_d2(d):
     rng = np.random.default_rng(700 + d)
     superop = realize_superoperator(_random_coeffs(rng, d))
     superop = superop + 1e-3 * rng.standard_normal(superop.shape)
-    got, residual = _recover(superop, d, Tolerance())
+    got, residual = _recover(superop, d)
     want, want_residual = (extract if d >= 3 else fit_coefficients)(superop, d)
     assert got.coeffs == want.coeffs
     assert residual == want_residual
@@ -374,7 +374,7 @@ def test_no_call_keeps_state_on_the_weights(d):
 
 @pytest.mark.parametrize(
     "cache, key",
-    [(operators._hit_columns, (2, 3)), (operators._hit_columns, (2, 4)), (operators._hit_columns, (3, 3))],
+    [(operators._scatter, (2, 3)), (operators._scatter, (2, 4)), (operators._scatter, (3, 3))],
 )
 def test_index_caches_are_read_only_and_keyed_by_shape(cache, key):
     assert list(inspect.signature(cache.__wrapped__).parameters) == ["m", "d"]

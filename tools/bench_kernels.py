@@ -1,11 +1,17 @@
-"""Per-kernel timings: two-copy and m-copy kernels, norms, twirl, JSON I/O, CLI forms, Tier-1 time.
+"""Per-kernel timings, warm and first-use: two-copy and m-copy kernels, norms, twirl, JSON I/O, CLI forms, Tier-1 time.
 
     python3 tools/bench_kernels.py --out BENCH.json
 
 Run from the root of a covmap checkout; the package is imported from its
 ``src/``.  Each record is the best of REPEAT calls of one kernel on
 fixed seeded input, after one warm-up call, in milliseconds: the best call
-reads the kernel's own cost rather than the load of a shared host.  Both
+reads the kernel's own cost rather than the load of a shared host.  Each
+cold record is the best of REPEAT first-use calls: before each call every
+``functools.lru_cache`` of ``covmap.operators`` and ``covmap.twocopy`` is
+cleared, so the call also builds the index tables of its (m, d).  There is
+one per (m, d) timed here, on ``extract_multi`` (``extract`` in table
+form at m = 2), or on ``realize_multi_superoperator`` where d < m + 1
+leaves the weights without a unique read.  Both
 faces of the twirl's conjugation kernel are timed at the sample counts of
 the twirl_project workload in perfbench/: a 24-sample Haar average of a
 superoperator per d, and ``twirl_operator`` with 200 samples at
@@ -67,6 +73,7 @@ from covmap.multicopy import (  # noqa: E402
     schur_weyl_fit,
 )
 from covmap.norms import cb_norm  # noqa: E402
+from covmap import operators, twocopy  # noqa: E402
 from covmap.operators import haar_unitary  # noqa: E402
 from covmap.serialize import coefficients_to_obj, dumps, matrix_from_obj, matrix_to_obj  # noqa: E402
 from covmap.twirl import (  # noqa: E402
@@ -177,6 +184,37 @@ def cases(rng: np.random.Generator):
         )
 
 
+def cached_tables() -> list:
+    """Every functools.lru_cache of covmap.operators and covmap.twocopy, found by cache_clear."""
+    return [f for module in (operators, twocopy) for f in vars(module).values() if hasattr(f, "cache_clear")]
+
+
+def cold_ms(call) -> float:
+    """Best of REPEAT calls, each with every cached table cleared first, in milliseconds."""
+    times = []
+    for _ in range(REPEAT):
+        for table in cached_tables():
+            table.cache_clear()
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
+
+
+def cold_cases(rng: np.random.Generator):
+    """(kernel, m, d, call): one first-use call per (m, d) of the two-copy and m-copy loops of cases."""
+    shapes = [(2, d) for d in range(2, 7)] + [(m, d) for m, d in MULTICOPY_MD if m > 2]
+    for m, d in shapes:
+        lam = rng.standard_normal((math.factorial(m), m + 1)) + 1j * rng.standard_normal((math.factorial(m), m + 1))
+        mc = MultiCopyCoefficients(m, d, lam)
+        if d < m + 1:
+            yield "realize_multi_superoperator", m, d, lambda mc=mc: realize_multi_superoperator(mc)
+            continue
+        sup = realize_multi_superoperator(mc)
+        sup = sup + NOISE * (rng.standard_normal(sup.shape) + 1j * rng.standard_normal(sup.shape))
+        yield "extract_multi", m, d, lambda sup=sup, m=m, d=d: extract_multi(sup, m, d)
+
+
 def main_call(argv: list[str]):
     """A call of covmap.cli.main on argv that must exit 0."""
 
@@ -266,6 +304,11 @@ def main(argv=None) -> int:
     for kernel, m, d, call in cases(np.random.default_rng(SEED)):
         records.append({"kernel": kernel, "m": m, "d": d, "best_ms": round(best_ms(call), 4)})
         print(f"{kernel:28s} m={m} d={d} {records[-1]['best_ms']:10.3f} ms", file=sys.stderr)
+    cold = []
+    # a generator of its own, so the kernel inputs above stay as they were
+    for kernel, m, d, call in cold_cases(np.random.default_rng(SEED)):
+        cold.append({"kernel": kernel, "m": m, "d": d, "cold_ms": round(cold_ms(call), 4)})
+        print(f"cold {kernel:23s} m={m} d={d} {cold[-1]['cold_ms']:10.3f} ms", file=sys.stderr)
     os.environ.pop("COVMAP_CONFIG", None)  # the command lines run on their built-in defaults
     cli = []
     io = []
@@ -290,6 +333,7 @@ def main(argv=None) -> int:
         "haar_average_samples": TWIRL_SAMPLES,
         "twirl_operator_samples": TWIRL_OPERATOR_SAMPLES,
         "kernels": records,
+        "cold": cold,
         "cli": cli,
         "io": io,
         "tier1": tests,
