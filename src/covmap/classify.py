@@ -1,11 +1,13 @@
 """Structural verdicts for two-copy covariant maps.
 
 Every verdict is a function of the six weights and d alone: no image,
-superoperator or Choi matrix is realized.  With trace terms present the
-complete-positivity verdict is an eigenvalue test at tolerance on the Choi
-spectrum, read in closed form from one 2 x 2 block and the trace-sector
-weights; it is tagged ``numerical-only`` because it is not a closed
-inequality in the weights.
+superoperator or Choi matrix is realized, and no eigensolver runs: each
+2 x 2 Hermitian block a verdict reads has its eigenvalues in closed form
+(_hermitian_eigenvalues).  With trace terms present the complete-positivity
+verdict is a test at tolerance on the Choi spectrum, whose two block
+eigenvalues and trace-sector weights are all closed-form.  It keeps the tag
+``numerical-only`` only because the benchmark's expected verdicts
+(perfbench/workloads.py) pin that tag for every vector with trace terms.
 
 A public predicate and :func:`classify` call the same helper per verdict,
 and classify evaluates each quantity the verdicts share once.  Weights
@@ -79,7 +81,7 @@ def _units(c: CovariantCoefficients, tol: Tolerance) -> _Units:
 def _self_adjoint(u: _Units) -> tuple[bool, float]:
     """The self-adjoint verdict and its violation, in units."""
     c1, c2, c3, c4, c5, c6 = u.g.coeffs
-    violation = max(abs(c1.imag), abs(c2.imag), abs(c5.imag), abs(c6.imag), abs(c4 - np.conj(c3)))
+    violation = max(abs(c1.imag), abs(c2.imag), abs(c5.imag), abs(c6.imag), abs(c4 - c3.conjugate()))
     return bool(violation <= u.thr), violation
 
 
@@ -98,13 +100,22 @@ def is_self_adjoint(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> b
 def _real_normal_form(g: CovariantCoefficients):
     """Real weights (m1, m2, m5, m6) and complex m3 of a gauge-reduced self-adjoint vector."""
     c1, c2, c3, c4, c5, c6 = g.coeffs
-    m3 = (c3 + np.conj(c4)) / 2
-    return c1.real, c2.real, complex(m3), c5.real, c6.real
+    return c1.real, c2.real, (c3 + c4.conjugate()) / 2, c5.real, c6.real
 
 
 def _trace_sector(m5: float, m6: float, d: int) -> list[float]:
     """Weights m5 + m6 and, for d >= 3 only, m5 - m6 of the trace sector."""
     return [m5 + m6, m5 - m6] if d >= 3 else [m5 + m6]
+
+
+def _hermitian_eigenvalues(a: float, b: complex, c: float) -> tuple[float, float]:
+    """Eigenvalues of the Hermitian [[a, b], [conj b, c]], smaller first.
+
+    (a + c)/2 -+ hypot((a - c)/2, |b|), the rule norms._witness_norms uses
+    for sigma_max^2; an inf or NaN entry gives NaN without a warning.
+    """
+    mid, radius = (a + c) / 2, math.hypot((a - c) / 2, abs(b))
+    return mid - radius, mid + radius
 
 
 def _choi_spectrum(form, d: int) -> np.ndarray:
@@ -113,17 +124,20 @@ def _choi_spectrum(form, d: int) -> np.ndarray:
     The Choi matrix commutes with conj(U) (x) U (x) U, so it lies in the
     walled Brauer algebra B_{2,1}(d).  The vectors sum_k |k, k, v> and
     sum_k |k, v, k> span two copies of C^d with Gram matrix
-    G = [[d, 1], [1, d]]; there the matrix acts as R K R + T with R = G^1/2,
-    K = [[m2, m3], [conj m3, m1]] and T = [[m5, m6], [m6, m5]].  The rest
-    of the spectrum is the trace sector.
+    G = [[d, 1], [1, d]]; there the matrix acts as B = R K R + T with
+    R = G^1/2, K = [[m2, m3], [conj m3, m1]] and T = [[m5, m6], [m6, m5]].
+    The squares of R's entries are big = (d + sqrt(d^2 - 1))/2 on the
+    diagonal and small = 1/(4 big) off it, and their product is 1/2, so B's
+    entries are formed in closed form.  The rest of the spectrum is the
+    trace sector.
     """
     m1, m2, m3, m5, m6 = form
-    a, b = np.sqrt(d + 1), np.sqrt(d - 1)
-    r = np.array([[a + b, a - b], [a - b, a + b]]) / 2
-    k = np.array([[m2, m3], [np.conj(m3), m1]], dtype=np.complex128)
-    t = np.array([[m5, m6], [m6, m5]])
-    block = np.linalg.eigvalsh(r @ k @ r + t)
-    return np.concatenate([block, _trace_sector(m5, m6, d)])
+    big = (d + math.sqrt(d * d - 1)) / 2
+    small = 1 / (4 * big)
+    b11 = big * m2 + small * m1 + m3.real + m5
+    b22 = small * m2 + big * m1 + m3.real + m5
+    b12 = (m1 + m2) / 2 + big * m3 + small * m3.conjugate() + m6
+    return np.array([*_hermitian_eigenvalues(b11, b12, b22), *_trace_sector(m5, m6, d)])
 
 
 def _positivity_margin(form, d: int) -> float:
@@ -135,11 +149,8 @@ def _positivity_margin(form, d: int) -> float:
     """
     m1, m2, m3, m5, m6 = form
     total = m1 + m2 + 2 * m3.real + m5 + m6
-    block = np.array(
-        [[m1 + m5, np.conj(m3) + m6], [m3 + m6, m2 + m5]], dtype=np.complex128
-    )
-    block_min = float(np.linalg.eigvalsh(block)[0])
-    return float(min(total, block_min, *_trace_sector(m5, m6, d)))
+    block_min = _hermitian_eigenvalues(m1 + m5, m3.conjugate() + m6, m2 + m5)[0]
+    return min(total, block_min, *_trace_sector(m5, m6, d))
 
 
 def _positive(u: _Units, sa: bool, form) -> tuple[bool, float | None]:
@@ -166,10 +177,10 @@ class CpResult:
     """Complete-positivity verdict.
 
     status is "yes"/"no" when the closed trace-free criterion applies and
-    "numerical-only" otherwise: an eigenvalue test at tolerance, not a
-    closed inequality in the weights.  is_cp always carries the boolean
-    outcome, witness the binding slack (criterion margin or smallest
-    eigenvalue of the Hermitian part of the Choi matrix).
+    "numerical-only" otherwise: a test at tolerance on the closed-form Choi
+    spectrum, tagged so because the benchmark pins the tag.  is_cp always
+    carries the boolean outcome, witness the binding slack (criterion margin
+    or smallest eigenvalue of the Hermitian part of the Choi matrix).
     """
 
     status: str
@@ -184,24 +195,18 @@ def _cp(u: _Units, sa: bool, form, unscaled) -> CpResult:
     """
     c1, c2, c3, c4, c5, c6 = u.c.coeffs
     if max(abs(c5), abs(c6)) <= u.thr:
-        margins = [
-            -abs(c1.imag),
-            -abs(c2.imag),
-            c1.real,
-            c2.real,
-            -abs(c4 - np.conj(c3)),
-        ]
-        linear = min(margins)  # at most -0.0, so a determinant >= 0 never binds
+        # The linear margin is at most -0.0, so a determinant >= 0 never binds.
+        linear = min(-abs(c1.imag), -abs(c2.imag), c1.real, c2.real, -abs(c4 - c3.conjugate()))
         det = c1.real * c2.real - abs(c3) ** 2  # in units of 4**-shift, as is its bound
-        ok = bool(linear >= -u.thr) and det >= -(_saturated(u.tol.abs, -u.shift) + u.tol.rel * u.scale**2)
-        witness = unscaled(float(linear), u.shift)
+        ok = linear >= -u.thr and det >= -(_saturated(u.tol.abs, -u.shift) + u.tol.rel * u.scale**2)
+        witness = unscaled(linear, u.shift)
         if det < 0:
             witness = min(witness, unscaled(det, 2 * u.shift))
         return CpResult("yes" if ok else "no", ok, witness)
     spectrum = _choi_spectrum(form, u.c.d)
     witness = float(spectrum.min())
     ok = sa and witness >= -u.tol.bound(np.abs(spectrum).max())
-    return CpResult("numerical-only", bool(ok), unscaled(witness, u.shift))
+    return CpResult("numerical-only", ok, unscaled(witness, u.shift))
 
 
 def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
@@ -209,8 +214,9 @@ def is_cp(c: CovariantCoefficients, tol: Tolerance = DEFAULT_TOL) -> CpResult:
 
     Trace-free family: c1 >= 0, c2 >= 0, c4 = conj(c3) and
     c1 * c2 >= |c3|^2.  With trace terms present the map is CP when it is
-    self-adjoint and the smallest Choi eigenvalue (see _choi_spectrum) is
-    at least -tol.bound(largest |eigenvalue|); tagged numerical-only.
+    self-adjoint and the smallest Choi eigenvalue (closed form, see
+    _choi_spectrum) is at least -tol.bound(largest |eigenvalue|); tagged
+    numerical-only, as the benchmark's expected verdicts require.
     A witness past the double range is the infinity of its sign.
     """
     u = _units(c, tol)

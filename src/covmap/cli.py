@@ -42,10 +42,8 @@ from .norms import TraceTermsError, cb_norm
 from .operators import _check_samples
 from .serialize import SchemaError
 from .twirl import twirl
-from .twocopy import _recover, extract, fit_coefficients
+from .twocopy import extract, fit_coefficients
 
-# extract and fit_coefficients are re-exported, not called (_recover picks one):
-# perfbench/run.py wraps them on this module by name when it traces the CLI.
 __all__ = ["main", "extract", "fit_coefficients"]
 
 EXIT_OK = 0
@@ -174,7 +172,8 @@ def _load_two_copy_map(obj, args: argparse.Namespace):
         c = serialize.coefficients_from_obj(obj)
         _check_weight_file(args, c.d)
         return c, None
-    return _recover(*_superoperator(obj, args))
+    superop, d = _superoperator(obj, args)
+    return extract(superop, d) if d >= 3 else fit_coefficients(superop, d)
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:

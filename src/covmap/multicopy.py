@@ -29,7 +29,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _largest_magnitude, _range_exponent, _scaled
 from .operators import _apply, _extract, _permutation_ones, _realize, _shaped, _span_fit, _support_sums
-from .operators import enumerate_permutations
+from .operators import UniquenessUnavailableError, enumerate_permutations
 from .twirl import _covariance_defect
 from .twocopy import _TABLE, _UNTABLE, CovariantCoefficients
 
@@ -47,10 +47,6 @@ __all__ = [
     "from_two_copy",
     "to_two_copy",
 ]
-
-
-class UniquenessUnavailableError(ValueError):
-    """Weights are not unique below d = m + 1; extraction refuses."""
 
 
 def _check_desk(m: int, d: int) -> None:
@@ -125,10 +121,6 @@ def extract_multi(
     input).  ``tol`` is accepted for signature compatibility and not used.
     """
     _check_desk(m, d)
-    if d < m + 1:
-        raise UniquenessUnavailableError(
-            f"weights are not unique for d={d} < m+1={m + 1}"
-        )
     lam, residual = _extract(superop, m, d)
     return MultiCopyCoefficients(m, d, lam), residual
 

@@ -58,6 +58,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
+class UniquenessUnavailableError(ValueError):
+    """Weights are not unique below d = m + 1; extraction refuses."""
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Permutation of {1, ..., m} in one-line notation: image[k-1] = s(k)."""
@@ -386,9 +390,11 @@ def _extract(superop, m: int, d: int) -> tuple[np.ndarray, float]:
 
     Each weight is read at its generator's entry in _probes, which holds a
     single term of _realize, so realized weights come back exactly.  The
-    residual is operator_norm(superop - _realize(table, m, d)).  Needs
-    d >= m + 1.
+    residual is operator_norm(superop - _realize(table, m, d)).  Raises
+    UniquenessUnavailableError when 2 <= d < m + 1, before the shape is read.
     """
+    if 2 <= d < m + 1:
+        raise UniquenessUnavailableError(f"weights are not unique for d={d} < m+1={m + 1}")
     superop = _shaped(superop, d, m)
     table = superop.flat[_probes(m, d)]
     return table, _residual(superop, table, m, d, _range_exponent(superop))

@@ -35,6 +35,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionError, Tolerance, _largest_magnitude, _range_exponent, _saturated, _scaled
 from .operators import _apply, _extract, _realize, _residual, _scatter, _shaped, _span, _span_fit
+from .operators import UniquenessUnavailableError
 
 __all__ = [
     "GAUGE_DIRECTION",
@@ -59,8 +60,8 @@ _TABLE = np.array([[4, 1, 0], [5, 3, 2]])
 _UNTABLE = np.argsort(_TABLE, axis=None)
 
 
-class GaugeAmbiguousError(ValueError):
-    """Entrywise extraction refused at d = 2 where weights are not unique."""
+# Entrywise extraction refused at d = 2, where the weights are not unique.
+GaugeAmbiguousError = UniquenessUnavailableError
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,6 @@ def extract(superop, d: int, tol: Tolerance = DEFAULT_TOL) -> tuple[CovariantCoe
     rather than silently projected.  ``tol`` is accepted for signature
     compatibility and not used.
     """
-    if d == 2:
-        raise GaugeAmbiguousError("weights are not unique at d = 2")
     table, residual = _extract(superop, 2, d)
     return CovariantCoefficients(d, table.reshape(-1)[_UNTABLE]), residual
 

@@ -1,3 +1,4 @@
+import decimal
 import importlib
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from covmap.classify import (
     CpResult,
     _choi_spectrum,
+    _hermitian_eigenvalues,
     _positivity_margin,
     _real_normal_form,
     classical_broadcast,
@@ -231,6 +233,49 @@ def test_choi_spectrum_is_the_dense_spectrum(d, parts):
     scale = max(1.0, np.abs(dense).max())
     assert gaps.min(axis=1).max() <= 1e-10 * scale
     assert gaps.min(axis=0).max() <= 1e-10 * scale
+
+
+# Entries on a grid of 1e-5 in [-10, 10], so equal values and zeros are drawn often.
+_GRID = st.integers(-10**6, 10**6).map(lambda k: k / 1e5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRID, _GRID, _GRID, _GRID, st.sampled_from([1e-150, 1.0, 1e150]),
+       st.sampled_from(["general", "equal diagonals", "b = 0"]))
+def test_hermitian_eigenvalues_match_eigvalsh(a, c, re, im, scale, shape):
+    a, c, b = a * scale, c * scale, complex(re, im) * scale
+    if shape == "equal diagonals":
+        c = a
+    elif shape == "b = 0":
+        b = 0j
+    closed = _hermitian_eigenvalues(a, b, c)
+    bound = np.finfo(float).eps * (abs(a) + 2 * abs(b) + abs(c))
+    # LAPACK's own error reached 4.3 eps * size on this grid, the closed form's 0.65.
+    dense = np.linalg.eigvalsh(np.array([[a, b], [b.conjugate(), c]]))
+    assert np.abs(dense - closed).max() <= 8 * bound
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, c, re, im = map(decimal.Decimal, (a, c, b.real, b.imag))
+        mid, radius = (a + c) / 2, (((a - c) / 2) ** 2 + re * re + im * im).sqrt()
+        assert max(abs(decimal.Decimal(x) - y) for x, y in zip(closed, (mid - radius, mid + radius))) <= 2 * bound
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("classify called an eigensolver")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_verdicts_call_no_eigensolver(d, monkeypatch):
+    # Self-adjoint with and without trace terms, then not self-adjoint.
+    weights = [(1, 0.5, 0.2 + 0.1j, 0.2 - 0.1j, 0.3, -0.1), (1, 0.5, 0.2 + 0.1j, 0.2 - 0.1j, 0, 0),
+               (1j, 0.5, 0.2, -0.3j, 0.3, 0.1)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", _raise)
+    monkeypatch.setattr(np.linalg, "eigvals", _raise)
+    for w in weights:
+        c = CovariantCoefficients(d, w)
+        rep = classify(c)
+        assert (rep.positive, rep.completely_positive, rep.evidence["cp_holds"]) == (
+            is_positive(c), is_cp(c).status, is_cp(c).is_cp)
 
 
 def test_classify_at_the_size_cap_realizes_nothing():

@@ -74,13 +74,30 @@ moved 0.04817881041200696 -> 0.04817881041200697, ``residual``
 0.09177124341126576 -> 0.0917712434112658, and the six imaginary weight
 parts (all below 6e-19) moved; the first four real weights,
 ``deviation_before``, ``samples`` and ``seed`` kept their bytes.
+
+The outputs come from one child interpreter per test module, started with
+``OPENBLAS_NUM_THREADS=2`` and ``OMP_NUM_THREADS=2``, the default of the
+2-CPU capture host: how OpenBLAS splits the twirl's GEMMs depends on its
+thread count, and with one thread the Haar average moves in its last bits
+(``residual`` 0.09477903930604564 -> 0.09477903930604561,
+``deviation_after`` 0.0917712434112658 -> 0.09177124341126582, and the
+imaginary weight parts).  OpenBLAS runs no more threads than the CPUs it
+finds, so a host with fewer CPUs than the pin can still differ.
+Run as a script with a directory argument, this module writes the outputs
+there: ``<form>.out`` to a fresh file, ``<form>.over`` over a longer file,
+and the exit codes in ``codes.json``.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covmap
 from covmap.cli import main
 from covmap.linalg import vec
 from covmap.multicopy import MultiCopyCoefficients, realize_multi_superoperator
@@ -132,22 +149,44 @@ def criterion_12_invocations(tmp_path):
     }
 
 
-@pytest.mark.parametrize("name", FORMS)
-def test_criterion_12_outputs_match_golden_bytes(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("COVMAP_CONFIG", raising=False)
-    argv = criterion_12_invocations(tmp_path)[name]
-    out = tmp_path / "out.json"
-    assert main([*argv, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+def capture(out_dir: Path) -> None:
+    """Run the six forms into out_dir: to a fresh --out, then over a longer file (--out is overwritten in place)."""
+    codes = {}
+    for name, argv in criterion_12_invocations(out_dir).items():
+        over = out_dir / f"{name}.over"
+        over.write_bytes(b"\xff" * (2 * (GOLDEN / f"{name}.json").stat().st_size + 4096))
+        codes[name] = [main([*argv, "--out", str(out_dir / f"{name}.{kind}")]) for kind in ("out", "over")]
+    (out_dir / "codes.json").write_text(json.dumps(codes))
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """The directory capture() filled in a child pinned to two BLAS threads, and its exit codes."""
+    out_dir = tmp_path_factory.mktemp("golden")
+    env = {k: v for k, v in os.environ.items() if k != "COVMAP_CONFIG"}
+    src = str(Path(covmap.__file__).parents[1])
+    env.update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, __file__, str(out_dir)], env=env, capture_output=True, text=True,
+                           timeout=300)
+    assert child.returncode == 0, child.stderr
+    return out_dir, json.loads((out_dir / "codes.json").read_text())
 
 
 @pytest.mark.parametrize("name", FORMS)
-def test_criterion_12_outputs_over_a_longer_file_leave_the_golden_bytes(name, tmp_path, monkeypatch):
+def test_criterion_12_outputs_match_golden_bytes(name, outputs):
+    out_dir, codes = outputs
+    assert codes[name][0] == 0
+    assert (out_dir / f"{name}.out").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", FORMS)
+def test_criterion_12_outputs_over_a_longer_file_leave_the_golden_bytes(name, outputs):
     # --out is overwritten in place, so the longer file's tail must be cut.
-    monkeypatch.delenv("COVMAP_CONFIG", raising=False)
-    argv = criterion_12_invocations(tmp_path)[name]
-    golden = (GOLDEN / f"{name}.json").read_bytes()
-    out = tmp_path / "out.json"
-    out.write_bytes(b"\xff" * (2 * len(golden) + 4096))
-    assert main([*argv, "--out", str(out)]) == 0
-    assert out.read_bytes() == golden
+    out_dir, codes = outputs
+    assert codes[name][1] == 0
+    assert (out_dir / f"{name}.over").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    capture(Path(sys.argv[1]))

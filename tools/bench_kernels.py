@@ -5,10 +5,14 @@
 Run from the root of a covmap checkout; the package is imported from its
 ``src/``.  Each record is the best of REPEAT calls of one kernel on
 fixed seeded input, after one warm-up call, in milliseconds: the best call
-reads the kernel's own cost rather than the load of a shared host.  Each
-cold record is the best of REPEAT first-use calls: before each call every
-``functools.lru_cache`` of ``covmap.operators`` and ``covmap.twocopy`` is
-cleared, so the call also builds the index tables of its (m, d).  There is
+reads the kernel's own cost rather than the load of a shared host.
+``classify`` is timed on random complex weights, which are not
+self-adjoint, and as ``classify_self_adjoint`` on their self-adjoint part
+with its trace terms, where the positivity margin and the Choi spectrum
+are read too.  Each cold record is the best of REPEAT first-use calls:
+before each call every ``functools.lru_cache`` of ``covmap.operators``
+and ``covmap.twocopy`` is cleared, so the call also builds the index
+tables of its (m, d).  There is
 one per (m, d) timed here, on ``extract_multi`` (``extract`` in table
 form at m = 2), or on ``realize_multi_superoperator`` where d < m + 1
 leaves the weights without a unique read.  Both
@@ -145,8 +149,10 @@ def cases(rng: np.random.Generator):
         exact = realize_superoperator(c)
         sup = noisy(exact)
         yield "realize_superoperator", 2, d, lambda c=c: realize_superoperator(c)
-        # a new weight object per call, so no cached gauge reduction is reused
-        yield "classify", 2, d, lambda c=c: classify(CovariantCoefficients(c.d, c.coeffs))
+        yield "classify", 2, d, lambda c=c: classify(c)
+        c1, c2, c3, _, c5, c6 = c.coeffs  # self-adjoint, so the positivity margin runs too
+        self_adjoint = CovariantCoefficients(d, (c1.real, c2.real, c3, c3.conjugate(), c5.real, c6.real))
+        yield "classify_self_adjoint", 2, d, lambda c=self_adjoint: classify(c)
         trace_free = CovariantCoefficients(d, (*c.coeffs[:4], 0, 0))
         yield "cb_norm", 2, d, lambda c=trace_free: cb_norm(c)
         yield "operator_norm_residual", 2, d, lambda sup=sup, exact=exact: operator_norm(sup - exact)
